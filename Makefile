@@ -15,13 +15,14 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# CI gate: full build, full test suite, a perf-gate smoke run (write-log
-# fast path >= 20% better than Hashtbl, observability-off overhead <= 2%
-# vs the PR-2 baseline, sb7 cycles bit-identical to the frozen PR-4
-# matrix), the observability smoke, the fuzz smoke, and the
-# fault-injection smoke.
+# CI gate: full build, full test suite, the benchmark's self-test, a
+# perf-gate smoke run (write-log fast path >= 20% better than Hashtbl,
+# observability-off overhead <= 2% vs the PR-2 baseline, sb7 cycles
+# bit-identical to the frozen PR-4 matrix), the observability smoke, the
+# fuzz smoke, and the fault-injection smoke.
 check: build
 	dune runtest
+	python3 perfbench/run.py --self-test
 	dune exec bench/perf_gate.exe -- --smoke --out /tmp/bench_gate_smoke.json
 	$(MAKE) obs-smoke
 	$(MAKE) fuzz-smoke
@@ -39,7 +40,7 @@ check: build
 # cycles), every composed design point run + fuzzed under its contract,
 # one composed point exercised end-to-end through the CLI, and the
 # line-budget guard: re-expressing the five engines over lib/kernel must
-# keep them >= 30% smaller than their pre-kernel 2576 lines.
+# keep them within 1653 lines, 64% of their pre-kernel 2576.
 ENGINE_FILES = lib/core/swisstm_engine.ml lib/stm_tl2/tl2_engine.ml \
                lib/stm_tiny/tinystm_engine.ml lib/stm_rstm/rstm_engine.ml \
                lib/stm_mv/mvstm_engine.ml
@@ -49,14 +50,14 @@ kernel-smoke: build
 	dune exec test/test_main.exe -- test kernel-composed
 	dune exec bin/stm_run.exe -- rbtree --stm k-mixed+inv+counter+redo --threads 4
 	@total=$$(cat $(ENGINE_FILES) | wc -l); \
-	 if [ $$total -gt 1803 ]; then \
-	   echo "LoC budget FAIL: engine files total $$total lines (> 1803 = 70% of the pre-kernel 2576)"; \
+	 if [ $$total -gt 1653 ]; then \
+	   echo "LoC budget FAIL: engine files total $$total lines (> 1653 = 64% of the pre-kernel 2576)"; \
 	   exit 1; \
 	 else \
-	   echo "LoC budget ok: engine files total $$total lines (<= 1803)"; \
+	   echo "LoC budget ok: engine files total $$total lines (<= 1653)"; \
 	 fi
 	@fail=0; \
-	 for spec in lib/core/swisstm_engine.ml:620 lib/stm_tl2/tl2_engine.ml:189 \
+	 for spec in lib/core/swisstm_engine.ml:510 lib/stm_tl2/tl2_engine.ml:189 \
 	             lib/stm_tiny/tinystm_engine.ml:218 lib/stm_rstm/rstm_engine.ml:469 \
 	             lib/stm_mv/mvstm_engine.ml:327 \
 	             lib/kernel/norec.ml:240 lib/kernel/tlrw.ml:320 \
@@ -84,7 +85,7 @@ fuzz-smoke: build
 	dune exec bin/stm_fuzz.exe -- --engine norec --policy random --seeds 8 --progs 3
 	dune exec bin/stm_fuzz.exe -- --engine tlrw --policy pct --seeds 8 --progs 3
 	dune exec bin/stm_fuzz.exe -- --epochs --engine norec --policy random --seeds 8 --progs 3
-	dune exec bin/stm_fuzz.exe -- --epochs --engine swisstm-priv-epoch --policy pct --seeds 8 --progs 3
+	dune exec bin/stm_fuzz.exe -- --epochs --engine swisstm --policy pct --seeds 8 --progs 3
 	dune exec bin/stm_fuzz.exe -- --self-check --policy random --seeds 8 --progs 10
 
 # Fault-injection smoke (seconds): a deterministic abort storm over a hot
@@ -96,7 +97,7 @@ fault-smoke: build
 	dune exec bin/fault_smoke.exe
 	dune exec bin/stm_fuzz.exe -- --inject --engine swisstm-adaptive --seeds 6 --progs 3
 	dune exec bin/stm_fuzz.exe -- --inject --engine tl2 --seeds 6 --progs 3
-	dune exec bin/stm_fuzz.exe -- --inject --epochs --engine swisstm-priv-epoch --seeds 6 --progs 3
+	dune exec bin/stm_fuzz.exe -- --inject --epochs --engine swisstm --seeds 6 --progs 3
 	dune exec bin/stm_fuzz.exe -- --inject --engine norec --seeds 6 --progs 3
 	dune exec bin/stm_fuzz.exe -- --inject --engine tlrw --seeds 6 --progs 3
 

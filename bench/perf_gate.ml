@@ -391,22 +391,43 @@ let sb7 ~threads ~duration_cycles =
 
 (* Deterministic half of the privatization gate: the sb7 read mix at 8
    simulated threads — the measurement behind EXPERIMENTS.md's "−34 % on
-   the read mix" quiescence figure.  Epoch announcements are plain
-   (uncharged) atomics and [Heap.free]'s deferral happens off the
-   simulated clock, so the +epochs engine must track plain swisstm here
-   while +quiescence keeps paying the commit-time barrier.  Simulated
-   cycles are deterministic: these ktps never move between runs, so the
+   the read mix" quiescence figure.  The +epochs column is plain swisstm
+   with the reclaimer armed: every transaction boundary announces a
+   quiescent state and [Heap.free] defers freed blocks to limbo until a
+   grace period passes.  Announcements are plain (uncharged) atomics and
+   deferral only delays block reuse, so the column tracks plain swisstm
+   unless arming the reclaimer starts charging simulated cycles.  The run
+   prints its epoch advances and deferred frees, and the gate fails when
+   the armed run advanced no epoch: announcements charge no cycles, so
+   without that check the column could not tell an engine that stopped
+   announcing from one that announces.  Simulated cycles
+   are deterministic: these ktps never move between runs, so the
    epoch-penalty bound can be tight without any retry machinery. *)
 let sim_priv ~duration_cycles =
+  let threads = 8 in
   let run spec =
     Bench_common.ktps
       (Stmbench7.Sb7_bench.run ~spec
-         ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads:8
+         ~workload:Stmbench7.Sb7_bench.Read_dominated ~threads
          ~duration_cycles ())
   in
-  ( run Engines.swisstm,
-    run Engines.swisstm_priv_safe,
-    run Engines.swisstm_priv_epoch )
+  let plain = run Engines.swisstm in
+  let quiesce = run Engines.swisstm_priv_safe in
+  let advances0 = Memory.Epoch.advances () in
+  let deferred0 = Memory.Epoch.deferred () in
+  Memory.Epoch.arm ();
+  let epoch = run Engines.swisstm in
+  let advances = Memory.Epoch.advances () - advances0 in
+  let deferred = Memory.Epoch.deferred () - deferred0 in
+  (* the simulated threads announced themselves online; take them off
+     so they cannot stall the grace periods of later native runs *)
+  for tid = 0 to threads - 1 do
+    Memory.Epoch.offline ~tid
+  done;
+  Memory.Epoch.disarm ();
+  Printf.printf "  +epochs run (reclaimer armed): %d epoch advances, %d frees deferred\n%!"
+    advances deferred;
+  (plain, quiesce, epoch, advances)
 
 (* Wall-clock, real [Domain]s: each of 4 domains runs a read-mix loop
    over its own 16-word block (16 reads + 2 writes per transaction) and
@@ -484,7 +505,7 @@ let native_priv ~txs =
       native_priv_tps ~spec:Engines.swisstm_priv_safe ~epochs:false ~txs
     in
     let epoch =
-      native_priv_tps ~spec:Engines.swisstm_priv_epoch ~epochs:true ~txs
+      native_priv_tps ~spec:Engines.swisstm ~epochs:true ~txs
     in
     (base, quiesce, epoch)
   in
@@ -622,7 +643,7 @@ let () =
     Printf.printf "  sb7 cycles vs frozen PR-4 matrix: %s\n%!"
       (if sb7_identity_ok then "bit-identical" else "DIVERGED");
   Printf.printf "perf_gate: privatization penalty (simulated, 8 threads)...\n%!";
-  let sim_plain, sim_quiesce, sim_epoch =
+  let sim_plain, sim_quiesce, sim_epoch, sim_epoch_advances =
     sim_priv ~duration_cycles:(if !smoke then 400_000 else 2_000_000)
   in
   let sim_penalty v = (v -. sim_plain) /. sim_plain *. 100. in
@@ -948,6 +969,12 @@ let () =
        sb7 read mix is under the %.0f%% floor (quiescence reference: \
        %.1f%%)\n"
       sim_epoch_penalty epoch_penalty_floor_pct sim_quiesce_penalty;
+    fail := true
+  end;
+  if sim_epoch_advances = 0 then begin
+    Printf.eprintf
+      "perf_gate: FAIL simulated +epochs run advanced no epoch: the engine \
+       announced no quiescent states under the armed reclaimer\n";
     fail := true
   end;
   if not epoch_live_ok then begin

@@ -42,7 +42,8 @@ let speclist =
      "N  fault-stream seed for --inject (default 7)");
     ("--epochs", Arg.Set epochs,
      "  arm the epoch reclaimer and the heap free-guard for every run \
-      (epoch-wired engines announce; frees defer through limbo)");
+      (engines announce at transaction boundaries; frees defer through \
+      limbo)");
     ("--txds", Arg.Set txds,
      "  fuzz the boosted collections instead of word programs: structure x \
       mode matrix (map/pqueue/queue, boosted/word) checked for strict \

@@ -21,12 +21,10 @@ type t = {
       (** §6 extension: quiescence at commit — every committing update
           transaction waits until all transactions that started before its
           commit have validated, committed or aborted, making the
-          privatization idiom safe at a measurable cost *)
-  privatization_epochs : bool;
-      (** epoch alternative to [privatization_safe] (DESIGN.md §12): no
-          commit-time barrier; transaction boundaries announce quiescent
-          states to [Memory.Epoch] (when armed) and [Heap.free] defers
-          privatized blocks until a grace period passes *)
+          privatization idiom safe at a measurable cost.  The epoch
+          alternative (DESIGN.md §12) needs no knob: once
+          [Memory.Epoch.arm] ran, every engine announces quiescent states
+          at its transaction boundaries *)
   debug_no_validation : bool;
       (** DEBUG ONLY: make read-set validation vacuously succeed, so stale
           reads survive extension and commit.  Deliberately breaks opacity;
@@ -42,7 +40,6 @@ let default =
     seed = 0xC0FFEE;
     quiesce_slots = 64;
     privatization_safe = false;
-    privatization_epochs = false;
     debug_no_validation = false;
   }
 

@@ -37,13 +37,6 @@ let tlrw = Tlrw Kernel.Tlrw.default_config
 let swisstm_priv_safe =
   Swisstm { Swisstm.Swisstm_config.default with privatization_safe = true }
 
-(* Epoch-based privatization (DESIGN.md §12): no commit-time barrier;
-   transaction boundaries announce quiescent states and [Heap.free]
-   defers privatized blocks until a grace period passes.  Only does
-   anything once [Memory.Epoch.arm] ran. *)
-let swisstm_priv_epoch =
-  Swisstm { Swisstm.Swisstm_config.default with privatization_epochs = true }
-
 (* Deliberately broken debug variant (validation disabled): exists so the
    fuzzer can prove its opacity checker catches a buggy engine.  Hidden
    from [known_names] so no benchmark picks it up by accident. *)
@@ -94,8 +87,7 @@ let name = function
         else Printf.sprintf "swisstm(%s)" (Cm.Cm_intf.spec_name c.cm)
       in
       let base = if c.debug_no_validation then base ^ "!noval" else base in
-      let base = if c.privatization_safe then base ^ "+quiescence" else base in
-      if c.privatization_epochs then base ^ "+epochs" else base
+      if c.privatization_safe then base ^ "+quiescence" else base
   | Tl2 c ->
       if c.Tl2.Tl2_engine.cm = Tl2.Tl2_engine.default_config.cm then "tl2"
       else Printf.sprintf "tl2(%s)" (Cm.Cm_intf.spec_name c.cm)
@@ -195,49 +187,49 @@ let of_registry name =
       Some (Kernel (Kernel.Compose.default_config p))
   | _ -> None
 
-let of_string = function
-  | "swisstm" -> Some swisstm
-  | "tl2" -> Some tl2
-  | "tinystm" -> Some tinystm
-  | "rstm" -> Some rstm
-  | "rstm-lazy" -> Some (rstm_with ~acquire:Rstm.Rstm_engine.Lazy ())
-  | "rstm-visible" -> Some (rstm_with ~visibility:Rstm.Rstm_engine.Visible ())
-  | "rstm-serializer" -> Some (rstm_with ~cm:Cm.Cm_intf.Serializer ())
-  | "rstm-greedy" -> Some (rstm_with ~cm:Cm.Cm_intf.Greedy ())
-  | "swisstm-timid" -> Some (swisstm_with ~cm:Cm.Cm_intf.Timid ())
-  | "swisstm-greedy" -> Some (swisstm_with ~cm:Cm.Cm_intf.Greedy ())
-  | "swisstm-priv" -> Some swisstm_priv_safe
-  | "swisstm-priv-epoch" -> Some swisstm_priv_epoch
-  | "swisstm-broken" -> Some swisstm_broken
-  | "mvstm" -> Some mvstm
-  | "rstm-karma" -> Some (rstm_with ~cm:Cm.Cm_intf.Karma ())
-  | "rstm-timestamp" -> Some (rstm_with ~cm:Cm.Cm_intf.Timestamp ())
-  | "swisstm-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive swisstm)
-  | "tl2-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive tl2)
-  | "tinystm-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive tinystm)
-  | "rstm-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive rstm)
-  | "mvstm-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive mvstm)
-  | "glock" -> Some Glock
-  | "norec" -> Some norec
-  | "tlrw" -> Some tlrw
-  | "norec-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive norec)
-  | "tlrw-adaptive" -> Some (with_cm Cm.Cm_intf.default_adaptive tlrw)
-  | name -> of_registry name
-
 let kernel_names =
   List.filter_map
     (fun (e : Kernel.Registry.entry) ->
       match e.kind with Kernel.Registry.Composed -> Some e.name | _ -> None)
     Kernel.Registry.entries
 
-let known_names =
+(* The one name table: every classic name in listing order.  [of_string]
+   resolves these plus the hidden debug variant and the registry's
+   composed points; [known_names] lists them all but the debug variant. *)
+let classic =
+  let adaptive = with_cm Cm.Cm_intf.default_adaptive in
   [
-    "swisstm"; "tl2"; "tinystm"; "rstm"; "rstm-lazy"; "rstm-visible";
-    "rstm-serializer"; "rstm-greedy"; "rstm-karma"; "rstm-timestamp";
-    "swisstm-timid"; "swisstm-greedy"; "swisstm-priv"; "swisstm-priv-epoch";
-    "mvstm";
-    "swisstm-adaptive"; "tl2-adaptive"; "tinystm-adaptive"; "rstm-adaptive";
-    "mvstm-adaptive"; "glock";
-    "norec"; "tlrw"; "norec-adaptive"; "tlrw-adaptive";
+    ("swisstm", swisstm);
+    ("tl2", tl2);
+    ("tinystm", tinystm);
+    ("rstm", rstm);
+    ("rstm-lazy", rstm_with ~acquire:Rstm.Rstm_engine.Lazy ());
+    ("rstm-visible", rstm_with ~visibility:Rstm.Rstm_engine.Visible ());
+    ("rstm-serializer", rstm_with ~cm:Cm.Cm_intf.Serializer ());
+    ("rstm-greedy", rstm_with ~cm:Cm.Cm_intf.Greedy ());
+    ("rstm-karma", rstm_with ~cm:Cm.Cm_intf.Karma ());
+    ("rstm-timestamp", rstm_with ~cm:Cm.Cm_intf.Timestamp ());
+    ("swisstm-timid", swisstm_with ~cm:Cm.Cm_intf.Timid ());
+    ("swisstm-greedy", swisstm_with ~cm:Cm.Cm_intf.Greedy ());
+    ("swisstm-priv", swisstm_priv_safe);
+    ("mvstm", mvstm);
+    ("swisstm-adaptive", adaptive swisstm);
+    ("tl2-adaptive", adaptive tl2);
+    ("tinystm-adaptive", adaptive tinystm);
+    ("rstm-adaptive", adaptive rstm);
+    ("mvstm-adaptive", adaptive mvstm);
+    ("glock", Glock);
+    ("norec", norec);
+    ("tlrw", tlrw);
+    ("norec-adaptive", adaptive norec);
+    ("tlrw-adaptive", adaptive tlrw);
   ]
-  @ kernel_names
+
+let of_string = function
+  | "swisstm-broken" -> Some swisstm_broken
+  | name -> (
+      match List.assoc_opt name classic with
+      | Some _ as spec -> spec
+      | None -> of_registry name)
+
+let known_names = List.map fst classic @ kernel_names

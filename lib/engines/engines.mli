@@ -46,13 +46,10 @@ val tlrw : spec
     time.  No clock, no validation; opaque by construction.  Polka. *)
 
 val swisstm_priv_safe : spec
-(** SwissTM with the §6 quiescence barrier (privatization-safe commits). *)
-
-val swisstm_priv_epoch : spec
-(** SwissTM with epoch-based privatization (DESIGN.md §12): no commit-time
-    barrier; transaction boundaries announce quiescent states to
-    [Memory.Epoch] and [Heap.free] defers privatized blocks until a grace
-    period passes.  Only does anything once [Memory.Epoch.arm] ran. *)
+(** SwissTM with the §6 quiescence barrier (privatization-safe commits).
+    The epoch alternative is plain {!swisstm} run with [Memory.Epoch.arm]:
+    every engine announces quiescent states at its transaction boundaries
+    while the reclaimer is armed. *)
 
 val swisstm_broken : spec
 (** DEBUG ONLY: SwissTM with read-set validation disabled
@@ -109,3 +106,5 @@ val kernel_names : string list
 (** Names of the composed (kernel-only) design points, in registry order. *)
 
 val known_names : string list
+(** Every name {!of_string} resolves except ["swisstm-broken"]: the
+    classic names, then {!kernel_names}. *)

@@ -2,8 +2,8 @@
    policy axes in [Axes], covering design points none of the five classic
    engines occupy (and, redundantly, the points they do).
 
-   Stripe metadata is a SwissTM-style split lock pair sharing one cache
-   line:
+   Stripe metadata is SwissTM's split lock pair ([Lock_table]'s
+   encoding) plus a reader word, all sharing one cache line:
 
    - [w_lock]  : owning writer + 1 (0 = free), CASed at acquisition time —
      encounter time for Eager/Mixed, commit time for Lazy;
@@ -85,11 +85,6 @@ type t = {
 
 let name_of_point point = "k-" ^ Axes.point_name point
 
-let r_frozen = 1
-let is_frozen rv = rv land 1 = 1
-let encode_version v = v lsl 1
-let version_of rv = rv lsr 1
-
 let create ?config point heap =
   let config = match config with Some c -> c | None -> default_config point in
   if point.Axes.versioning = Axes.Multi then
@@ -114,7 +109,9 @@ let create ?config point heap =
   {
     heap;
     stripe;
-    w_locks = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
+    w_locks =
+      Array.init n (fun i ->
+          Runtime.Tmatomic.make_shared lines.(i) Lock_table.w_unlocked);
     r_locks = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
     readers = Array.init n (fun i -> Runtime.Tmatomic.make_shared lines.(i) 0);
     clock = Runtime.Tmatomic.make 0;
@@ -125,6 +122,10 @@ let create ?config point heap =
     eid = Obs.Metrics.register_engine (name_of_point point);
     ser = Serial.create ();
   }
+
+(* [d]'s w-lock value, and whether w-lock value [wv] names another owner. *)
+let owner_word (d : Txdesc.t) = Lock_table.encode_w_owner d.tid
+let owned_by_other d wv = wv <> Lock_table.w_unlocked && wv <> owner_word d
 
 (* --- rollback --------------------------------------------------------- *)
 
@@ -152,7 +153,9 @@ let release_locks t (d : Txdesc.t) =
       t.r_locks.(Ivec.unsafe_get d.acq_stripes i)
       (Ivec.unsafe_get d.acq_saved i)
   done;
-  Ivec.iter (fun idx -> Runtime.Tmatomic.set t.w_locks.(idx) 0) d.acq_stripes
+  Ivec.iter
+    (fun idx -> Runtime.Tmatomic.set t.w_locks.(idx) Lock_table.w_unlocked)
+    d.acq_stripes
 
 let rollback t (d : Txdesc.t) reason =
   Hooks.phase_commit d.tid;
@@ -181,14 +184,14 @@ let validate t (d : Txdesc.t) ~exact =
     let logged = Rset.value d.rset !i in
     let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
     let v =
-      if is_frozen rv then begin
-        if Runtime.Tmatomic.get t.w_locks.(idx) = d.tid + 1 then begin
+      if Lock_table.is_r_locked rv then begin
+        if Runtime.Tmatomic.get t.w_locks.(idx) = owner_word d then begin
           let s = Wlog.probe d.acq_version idx in
           if s >= 0 then Wlog.slot_value d.acq_version s else -1
         end
         else -1  (* frozen by another committer: conflicting *)
       end
-      else version_of rv
+      else Lock_table.version_of rv
     in
     if v < 0 then ok := false
     else if exact then begin if v <> logged then ok := false end
@@ -224,7 +227,7 @@ let settle_version t (d : Txdesc.t) version =
 let cm_wait t (d : Txdesc.t) idx ~owner ~reason =
   check_kill t d;
   Hooks.stripe_conflict ~eid:t.eid ~stripe:idx;
-  let victim = (t.descs.(owner - 1)).info in
+  let victim = (t.descs.(Lock_table.w_owner_of owner)).info in
   match Hooks.cm_resolve ~stats:t.stats ~ser:t.ser ~cm:t.cm d ~victim with
   | Cm.Cm_intf.Abort_self -> rollback t d reason
   | Cm.Cm_intf.Wait | Cm.Cm_intf.Killed_victim ->
@@ -233,11 +236,11 @@ let cm_wait t (d : Txdesc.t) idx ~owner ~reason =
 
 let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
   let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
-  if is_frozen rv then begin
+  if Lock_table.is_r_locked rv then begin
     (* Frozen by an encounter-time writer (long-lived: arbitrate) or by a
        committer mid-write-back (short: wait it out). *)
     let wv = Runtime.Tmatomic.get t.w_locks.(idx) in
-    if t.point.Axes.acquisition = Axes.Eager && wv <> 0 && wv <> d.tid + 1
+    if t.point.Axes.acquisition = Axes.Eager && owned_by_other d wv
     then cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation
     else begin
       Stats.wait t.stats ~tid:d.tid;
@@ -252,7 +255,7 @@ let rec read_invisible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
     let rv2 = Runtime.Tmatomic.get t.r_locks.(idx) in
     if rv2 <> rv then read_invisible t d idx addr costs
     else begin
-      let version = version_of rv in
+      let version = Lock_table.version_of rv in
       Runtime.Exec.tick costs.log_append;
       Rset.push d.rset idx version;
       d.info.accesses <- d.info.accesses + 1;
@@ -284,13 +287,13 @@ let rec read_visible t (d : Txdesc.t) idx addr (costs : Runtime.Costs.t) =
     ignore (Rset.add_unique d.vreads idx 0 : bool)
   end;
   let wv = Runtime.Tmatomic.get t.w_locks.(idx) in
-  if wv <> 0 && wv <> d.tid + 1 then begin
+  if owned_by_other d wv then begin
     cm_wait t d idx ~owner:wv ~reason:Tx_signal.Rw_validation;
     read_visible t d idx addr costs
   end
   else begin
     let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
-    if is_frozen rv then begin
+    if Lock_table.is_r_locked rv then begin
       Stats.wait t.stats ~tid:d.tid;
       check_kill t d;
       Runtime.Exec.pause ();
@@ -313,7 +316,7 @@ let read_word t (d : Txdesc.t) addr =
   Stats.read t.stats ~tid:d.tid;
   check_kill t d;
   let idx = Memory.Stripe.index t.stripe addr in
-  if Runtime.Tmatomic.get t.w_locks.(idx) = d.tid + 1 then begin
+  if Runtime.Tmatomic.get t.w_locks.(idx) = owner_word d then begin
     (* Own stripe: redo log, else stable memory. *)
     Runtime.Exec.tick costs.log_lookup;
     let s = Wlog.probe d.wset addr in
@@ -372,10 +375,10 @@ let drain_readers t (d : Txdesc.t) idx =
 let freeze_stripe t (d : Txdesc.t) idx =
   let rv = Runtime.Tmatomic.get t.r_locks.(idx) in
   Ivec.push d.acq_saved rv;
-  Wlog.replace d.acq_version idx (version_of rv);
-  Runtime.Tmatomic.set t.r_locks.(idx) r_frozen;
+  Wlog.replace d.acq_version idx (Lock_table.version_of rv);
+  Runtime.Tmatomic.set t.r_locks.(idx) Lock_table.r_locked;
   if t.point.Axes.visibility = Axes.Visible then drain_readers t d idx;
-  version_of rv
+  Lock_table.version_of rv
 
 (* CM-arbitrated w-lock acquisition (Eager/Mixed at encounter, Lazy at
    commit). *)
@@ -383,12 +386,16 @@ let acquire_w t (d : Txdesc.t) idx =
   let w = t.w_locks.(idx) in
   let rec go () =
     let wv = Runtime.Tmatomic.get w in
-    if wv <> 0 && wv <> d.tid + 1 then begin
+    if owned_by_other d wv then begin
       cm_wait t d idx ~owner:wv ~reason:Tx_signal.Ww_conflict;
       go ()
     end
-    else if wv = 0 then
-      if not (Runtime.Tmatomic.cas w ~expect:0 ~replace:(d.tid + 1)) then go ()
+    else if wv = Lock_table.w_unlocked then
+      if
+        not
+          (Runtime.Tmatomic.cas w ~expect:Lock_table.w_unlocked
+             ~replace:(owner_word d))
+      then go ()
   in
   go ();
   Hooks.inject_stall d;
@@ -404,11 +411,11 @@ let write_word t (d : Txdesc.t) addr value =
   | Axes.Seqlock | Axes.Bytelock -> assert false (* rejected by [create] *)
   | Axes.Lazy -> ignore (Rset.add_unique d.wstripes idx 0 : bool)
   | Axes.Eager | Axes.Mixed ->
-      if Runtime.Tmatomic.get t.w_locks.(idx) <> d.tid + 1 then begin
+      if Runtime.Tmatomic.get t.w_locks.(idx) <> owner_word d then begin
         acquire_w t d idx;
         let version =
           if t.point.Axes.acquisition = Axes.Eager then freeze_stripe t d idx
-          else version_of (Runtime.Tmatomic.get t.r_locks.(idx))
+          else Lock_table.version_of (Runtime.Tmatomic.get t.r_locks.(idx))
         in
         d.info.accesses <- d.info.accesses + 1;
         (* Opacity: the stripe may have moved past our snapshot between our
@@ -447,7 +454,7 @@ let commit t (d : Txdesc.t) =
     | Axes.Lazy ->
         Rset.iter
           (fun idx _ ->
-            if Runtime.Tmatomic.get t.w_locks.(idx) <> d.tid + 1 then
+            if Runtime.Tmatomic.get t.w_locks.(idx) <> owner_word d then
               acquire_w t d idx)
           d.wstripes;
         Ivec.iter (fun idx -> ignore (freeze_stripe t d idx)) d.acq_stripes
@@ -463,8 +470,8 @@ let commit t (d : Txdesc.t) =
     Vlock.write_back ~heap:t.heap d;
     Ivec.iter
       (fun idx ->
-        Runtime.Tmatomic.set t.r_locks.(idx) (encode_version ts);
-        Runtime.Tmatomic.set t.w_locks.(idx) 0)
+        Runtime.Tmatomic.set t.r_locks.(idx) (Lock_table.encode_version ts);
+        Runtime.Tmatomic.set t.w_locks.(idx) Lock_table.w_unlocked)
       d.acq_stripes;
     retract_visible t d;
     Hooks.commit_done ~stats:t.stats ~cm:t.cm ~ser:t.ser ~heap:t.heap d
@@ -481,44 +488,26 @@ let emergency_release t (d : Txdesc.t) =
   retract_visible t d;
   Hooks.emergency ~cm:t.cm ~ser:t.ser d
 
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
-    Driver.ser = t.ser;
+    Driver.thread_cap =
+      (if t.point.Axes.visibility = Axes.Visible then
+         Some ("kernel-compose-visible", 62)
+       else None);
+    ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> emergency_release t d);
     user_abort = (fun d -> rollback t d Tx_signal.Killed);
   }
 
-let check_tid t tid =
-  if t.point.Axes.visibility = Axes.Visible then
-    Engine.check_tid_limit ~engine:"kernel-compose-visible" ~limit:62 tid
-
-let atomic t ~tid f =
-  check_tid t tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:false f
-
-let atomic_irrevocable t ~tid f =
-  check_tid t tid;
-  Driver.run (driver_ops t) ~tid ~irrevocable:true f
-
 let engine ?config point heap : Engine.t =
   let t = create ?config point heap in
-  let dops = driver_ops t in
   let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
+    Package.ops_array ~heap ~descs:t.descs ~env:t ~read:read_word
+      ~write:write_word
   in
   Package.make ~name:(name_of_point t.point) ~heap ~stats:t.stats ~ops
-    ~runner:
-      {
-        Package.run =
-          (fun ~tid ~irrevocable f ->
-            check_tid t tid;
-            Driver.run dops ~tid ~irrevocable f);
-      }
+    ~driver:(driver_ops t)

@@ -13,23 +13,27 @@
      parked there is idle — no locks, no published snapshot, kill flag
      cleared on the next [start] — so the gate needs no kill polling.
 
-   Engines register their policy entry points in an ['d ops] record once
-   at creation, so running a transaction allocates no closures beyond
-   the [attempt] loop every engine already allocated. *)
+   Engines register their policy entry points in an [ops] record once at
+   creation, and the retry loop is a top-level function rather than a
+   closure inside [run], so the driver allocates nothing per transaction.
+   Every engine runs on [Txdesc.t], so the loop reads the nesting depth
+   and the manager's txinfo straight off the descriptor. *)
 
 open Stm_intf
 
-type 'd ops = {
+type ops = {
+  thread_cap : (string * int) option;
+      (** engine name and tid limit of an engine that packs per-thread
+          state into machine words; tids at or past the limit raise
+          {!Engine.Unsupported_thread_count} *)
   ser : Serial.t;
   cm : Cm.Cm_intf.t;
-  descs : 'd array;
-  info : 'd -> Cm.Cm_intf.txinfo;
-  get_depth : 'd -> int;
-  set_depth : 'd -> int -> unit;
-  start : 'd -> restart:bool -> unit;
-  commit : 'd -> unit;
-  emergency : 'd -> unit;  (** release everything on a foreign exception *)
-  user_abort : 'd -> unit;
+  descs : Txdesc.t array;
+  start : Txdesc.t -> restart:bool -> unit;
+  commit : Txdesc.t -> unit;
+  emergency : Txdesc.t -> unit;
+      (** release everything on a foreign exception *)
+  user_abort : Txdesc.t -> unit;
       (** route a body-raised {!Tx_signal.Retry} through the engine's own
           rollback (reason [Killed]): locks release, the CM backs off and
           [succ_aborts] advances, so semantic conflicts feed the same
@@ -49,52 +53,52 @@ let make_descs ~seed () =
   Gc.finalise (Array.iter Txdesc.Pool.release) descs;
   descs
 
-let run (o : 'd ops) ~tid ~irrevocable f =
-  let d = o.descs.(tid) in
-  if o.get_depth d > 0 then begin
-    (* Flat nesting: an inner atomic block joins the enclosing one. *)
-    o.set_depth d (o.get_depth d + 1);
-    Fun.protect
-      ~finally:(fun () -> o.set_depth d (o.get_depth d - 1))
-      (fun () -> f d)
-  end
-  else
-    let info = o.info d in
-    let rec attempt ~restart =
-      if
-        (irrevocable
-        || info.Cm.Cm_intf.succ_aborts >= o.cm.Cm.Cm_intf.escalate_after)
-        && not (Serial.mine o.ser ~tid)
-      then begin
-        if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
-        Serial.acquire o.ser ~tid;
-        Serial.drain o.ser ~tid
-      end;
-      let escalated = Serial.mine o.ser ~tid in
-      o.cm.pre_attempt info ~escalated;
-      if (not escalated) && Serial.held_by_other o.ser ~tid then
-        Serial.gate o.ser ~tid ~check:nop_gate_check;
-      o.start d ~restart;
-      if escalated then info.Cm.Cm_intf.cm_ts <- 0;
-      o.set_depth d 1;
-      match f d with
-      | v ->
-          o.set_depth d 0;
-          (try
-             o.commit d;
-             v
-           with Tx_signal.Abort -> attempt ~restart:true)
+(* One attempt of a top-level transaction, retried until it commits. *)
+let rec attempt (o : ops) (d : Txdesc.t) ~tid ~irrevocable f ~restart =
+  if
+    (irrevocable
+    || d.info.Cm.Cm_intf.succ_aborts >= o.cm.Cm.Cm_intf.escalate_after)
+    && not (Serial.mine o.ser ~tid)
+  then begin
+    if !Obs.Metrics.on then Obs.Metrics.on_escalation ~tid;
+    Serial.acquire o.ser ~tid;
+    Serial.drain o.ser ~tid
+  end;
+  let escalated = Serial.mine o.ser ~tid in
+  o.cm.pre_attempt d.info ~escalated;
+  if (not escalated) && Serial.held_by_other o.ser ~tid then
+    Serial.gate o.ser ~tid ~check:nop_gate_check;
+  o.start d ~restart;
+  if escalated then d.info.Cm.Cm_intf.cm_ts <- 0;
+  d.depth <- 1;
+  match f d with
+  | v -> (
+      d.depth <- 0;
+      match o.commit d with
+      | () -> v
       | exception Tx_signal.Abort ->
-          o.set_depth d 0;
-          attempt ~restart:true
-      | exception Tx_signal.Retry ->
-          (* User-level abort request (boosting's semantic conflicts):
-             unlike [Abort], the engine's rollback has NOT run yet. *)
-          o.set_depth d 0;
-          (try o.user_abort d with Tx_signal.Abort -> ());
-          attempt ~restart:true
-      | exception e ->
-          o.emergency d;
-          raise e
-    in
-    attempt ~restart:false
+          attempt o d ~tid ~irrevocable f ~restart:true)
+  | exception Tx_signal.Abort ->
+      d.depth <- 0;
+      attempt o d ~tid ~irrevocable f ~restart:true
+  | exception Tx_signal.Retry ->
+      (* User-level abort request (boosting's semantic conflicts):
+         unlike [Abort], the engine's rollback has NOT run yet. *)
+      d.depth <- 0;
+      (try o.user_abort d with Tx_signal.Abort -> ());
+      attempt o d ~tid ~irrevocable f ~restart:true
+  | exception e ->
+      o.emergency d;
+      raise e
+
+let run (o : ops) ~tid ~irrevocable f =
+  (match o.thread_cap with
+  | Some (engine, limit) -> Engine.check_tid_limit ~engine ~limit tid
+  | None -> ());
+  let d = o.descs.(tid) in
+  if d.Txdesc.depth > 0 then begin
+    (* Flat nesting: an inner atomic block joins the enclosing one. *)
+    d.depth <- d.depth + 1;
+    Fun.protect ~finally:(fun () -> d.depth <- d.depth - 1) (fun () -> f d)
+  end
+  else attempt o d ~tid ~irrevocable f ~restart:false

@@ -2,7 +2,7 @@
    the common begin/commit/abort bookkeeping sequences, in one place.
 
    The helpers are written so that an engine built on them charges the
-   exact same simulated cycles in the exact same order as the hand-rolled
+   exact same simulated cycles in the exact same order as the per-engine
    code they replaced: everything here is tick-free except where a [tick]
    is explicit, and helpers never wrap the [Tmatomic] operations engines
    interleave between these calls.  All hook emissions sit behind the
@@ -92,9 +92,9 @@ let cm_resolve ~stats ~ser ~(cm : Cm.Cm_intf.t) (d : Txdesc.t) ~victim =
 (* --- transaction begin ------------------------------------------------ *)
 
 (* Common prefix of every engine's [start]: trace, profile phase, wasted-
-   cycle stamp, metrics, the begin tick, and the log reset.  The engine
-   finishes with its own ordering of [cm.on_start] vs the snapshot sample
-   (SwissTM samples *before* [on_start], the others after) and then
+   cycle stamp, metrics, the begin tick, and the log reset (a committed
+   transaction's only one: [commit_done] leaves the logs to it).  The
+   engine finishes with [cm.on_start], its snapshot sample and
    [phase_other]. *)
 let tx_begin ~eid (d : Txdesc.t) =
   (* Begin is recorded BEFORE the snapshot is taken (Trace contract). *)
@@ -121,11 +121,13 @@ let[@inline] commit_entry (d : Txdesc.t) =
   Runtime.Exec.tick (Runtime.Costs.get ()).tx_end
 
 (* Shared epilogue of every successful commit (read-only and update):
-   trace, stats, metrics, log reset, manager notification, token-state
-   cleanup.  [exit_commit] is an idempotent plain store, so calling it on
-   paths that never entered the commit section is free and harmless.
-   [allow_snapshot] is MVSTM's "may serve old versions again" latch;
-   setting it is a dead store for every other engine. *)
+   trace, stats, metrics, buffered frees, manager notification,
+   token-state cleanup.  The logs are left for the next [tx_begin] to
+   clear: nothing reads them between a commit and the next begin, and one
+   clear per transaction is enough.  [exit_commit] is an idempotent plain
+   store, so calling it on paths that never entered the commit section is
+   free and harmless.  [allow_snapshot] is MVSTM's "may serve old versions
+   again" latch; setting it is a dead store for every other engine. *)
 let commit_done ~stats ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
   if !Trace.enabled then Trace.on_commit ~tid:d.tid;
   Stats.commit stats ~tid:d.tid;
@@ -134,7 +136,6 @@ let commit_done ~stats ~(cm : Cm.Cm_intf.t) ~ser ~heap (d : Txdesc.t) =
      (epoch limbo when the reclaimer is armed, immediate recycling
      otherwise).  Cycle-free; the free-less case is one length check. *)
   Txdesc.flush_frees ~heap d;
-  Txdesc.clear_logs d;
   d.allow_snapshot <- true;
   cm.on_commit d.info;
   Serial.exit_commit ser ~tid:d.tid;

@@ -1,4 +1,6 @@
-(* SwissTM's global lock table (paper §3, §3.3).
+(* The split lock pair of SwissTM's global lock table (paper §3, §3.3),
+   and its encoding, shared by the SwissTM engine and [Compose] (which
+   builds its own three-word lines but encodes them the same way).
 
    Each memory stripe maps to a pair of locks:
 

@@ -34,8 +34,8 @@ let granularity_words t = 1 lsl t.log2_gran
 let table_size t = 1 lsl t.table_bits
 
 (* Raw mapping parameters, for engines that inline [index] in their hot
-   paths (the wall-clock-gated swisstm engine caches both in its own
-   record and computes [(addr lsr shift) land mask] in-line). *)
+   paths (swisstm caches both in its own record and computes
+   [(addr lsr shift) land mask] in-line). *)
 let log2_granularity t = t.log2_gran
 let index_mask t = t.mask
 

@@ -28,9 +28,10 @@
    ([add_unique]/[mem], duplicates rejected).  Mixing modes on one value
    would desynchronize journal and index.
 
-   The record is exposed concretely: swisstm's measured wall-clock
-   exemption keeps its validation loop in-engine with direct array access
-   instead of cross-module calls (see DESIGN.md §12). *)
+   The record is exposed concretely: swisstm's read append and
+   validation walk, per-access fast paths that stay in the engine like
+   every engine's, use direct array access instead of cross-module calls
+   (see DESIGN.md §12). *)
 
 type t = {
   mutable data : int array;  (* interleaved (key, value) journal *)

@@ -80,20 +80,19 @@ let clear t =
 
 let[@inline] slot_base t k = (k * fib) lsr (63 - t.bits)
 
+(* The probe loops are top-level functions over [t], not local closures
+   over its fields: without flambda, a local recursive function that
+   captures variables is a heap-allocated closure, one per call. *)
+let rec probe_at t k i =
+  let gi = Array.unsafe_get t.gens i in
+  if gi = t.gen && Array.unsafe_get t.keys i = k then i
+  else if gi = t.gen || gi = -t.gen then probe_at t k ((i + 1) land t.mask)
+  else -1
+
 (** Slot of [k], or -1 if absent.  The bloom test rejects most misses
     before touching the arrays. *)
 let probe t k =
-  if t.bloom land bloom_bit k = 0 then -1
-  else begin
-    let keys = t.keys and gens = t.gens and mask = t.mask and g = t.gen in
-    let rec go i =
-      let gi = Array.unsafe_get gens i in
-      if gi = g && Array.unsafe_get keys i = k then i
-      else if gi = g || gi = -g then go ((i + 1) land mask)
-      else -1
-    in
-    go (slot_base t k)
-  end
+  if t.bloom land bloom_bit k = 0 then -1 else probe_at t k (slot_base t k)
 
 let slot_value t s = Array.unsafe_get t.vals s
 let mem t k = probe t k >= 0
@@ -150,28 +149,29 @@ and insert_fresh t k v stamp =
   in
   go (slot_base t k)
 
-let replace t k v =
-  let keys = t.keys and gens = t.gens and mask = t.mask and g = t.gen in
-  let rec go i free =
-    let gi = Array.unsafe_get gens i in
-    if gi = g && Array.unsafe_get keys i = k then Array.unsafe_set t.vals i v
-    else if gi = g then go ((i + 1) land mask) free
-    else if gi = -g then go ((i + 1) land mask) (if free >= 0 then free else i)
-    else begin
-      let j = if free >= 0 then free else i in
-      keys.(j) <- k;
-      t.vals.(j) <- v;
-      gens.(j) <- g;
-      t.stamps.(j) <- t.mark;
-      if free >= 0 then t.dead <- t.dead - 1;
-      t.bloom <- t.bloom lor bloom_bit k;
-      t.len <- t.len + 1;
-      (* keep live + tombstone load below 1/2 so probe chains stay short
-         and the probe loop always finds a free slot *)
-      if (t.len + t.dead) lsl 1 > t.mask then grow t
-    end
-  in
-  go (slot_base t k) (-1)
+(* [free]: the first tombstone passed on the way, reused on a miss *)
+let rec replace_at t k v i free =
+  let g = t.gen in
+  let gi = Array.unsafe_get t.gens i in
+  if gi = g && Array.unsafe_get t.keys i = k then Array.unsafe_set t.vals i v
+  else if gi = g then replace_at t k v ((i + 1) land t.mask) free
+  else if gi = -g then
+    replace_at t k v ((i + 1) land t.mask) (if free >= 0 then free else i)
+  else begin
+    let j = if free >= 0 then free else i in
+    t.keys.(j) <- k;
+    t.vals.(j) <- v;
+    t.gens.(j) <- g;
+    t.stamps.(j) <- t.mark;
+    if free >= 0 then t.dead <- t.dead - 1;
+    t.bloom <- t.bloom lor bloom_bit k;
+    t.len <- t.len + 1;
+    (* keep live + tombstone load below 1/2 so probe chains stay short
+       and the probe loop always finds a free slot *)
+    if (t.len + t.dead) lsl 1 > t.mask then grow t
+  end
+
+let replace t k v = replace_at t k v (slot_base t k) (-1)
 
 let remove t k =
   let s = probe t k in

@@ -292,14 +292,12 @@ let start t (d : Txdesc.t) ~restart =
 (* Retry driver with graceful degradation: see [Kernel.Driver] for the
    escalation protocol.  Like TL2, the commit gate freezes the clock under
    the token, so an escalated attempt cannot fail in a simulated run. *)
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
-    Driver.ser = t.ser;
+    Driver.thread_cap = None;
+    ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
@@ -314,11 +312,8 @@ let snapshot_reads t = Runtime.Tmatomic.unsafe_get t.snapshot_reads
 
 let engine ?config heap : Engine.t =
   let t = create ?config heap in
-  let dops = driver_ops t in
   let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
+    Package.ops_array ~heap ~descs:t.descs ~env:t ~read:read_word
+      ~write:write_word
   in
-  Package.make ~name ~heap ~stats:t.stats ~ops
-    ~runner:
-      { Package.run = (fun ~tid ~irrevocable f -> Driver.run dops ~tid ~irrevocable f) }
+  Package.make ~name ~heap ~stats:t.stats ~ops ~driver:(driver_ops t)

@@ -155,30 +155,22 @@ let start t (d : Txdesc.t) ~restart =
    cannot fail in a simulated run — the commit gate freezes the clock, so
    no read validation can observe a newer version and no commit-time lock
    can be held by anyone else once in-flight commits drained. *)
-let driver_ops t : Txdesc.t Driver.ops =
+let driver_ops t : Driver.ops =
   {
-    Driver.ser = t.ser;
+    Driver.thread_cap = None;
+    ser = t.ser;
     cm = t.cm;
     descs = t.descs;
-    info = (fun (d : Txdesc.t) -> d.info);
-    get_depth = (fun (d : Txdesc.t) -> d.depth);
-    set_depth = (fun (d : Txdesc.t) n -> d.depth <- n);
     start = (fun d ~restart -> start t d ~restart);
     commit = (fun d -> commit t d);
     emergency = (fun d -> Hooks.emergency ~cm:t.cm ~ser:t.ser d);
     user_abort = (fun d -> rollback t d Tx_signal.Killed);
   }
 
-let atomic t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:false f
-let atomic_irrevocable t ~tid f = Driver.run (driver_ops t) ~tid ~irrevocable:true f
-
 let engine ?config heap : Engine.t =
   let t = create ?config heap in
-  let dops = driver_ops t in
   let ops =
-    Package.ops_array ~heap ~descs:t.descs ~read:(read_word t)
-      ~write:(write_word t) ~free:Txdesc.buffer_free
+    Package.ops_array ~heap ~descs:t.descs ~env:t ~read:read_word
+      ~write:write_word
   in
-  Package.make ~name ~heap ~stats:t.stats ~ops
-    ~runner:
-      { Package.run = (fun ~tid ~irrevocable f -> Driver.run dops ~tid ~irrevocable f) }
+  Package.make ~name ~heap ~stats:t.stats ~ops ~driver:(driver_ops t)

@@ -182,13 +182,13 @@ let per_engine_cases (name, spec) =
 
 let test_swisstm_lock_encoding () =
   check Alcotest.int "version encode/decode" 37
-    (Swisstm.Lock_table.version_of (Swisstm.Lock_table.encode_version 37));
+    (Kernel.Lock_table.version_of (Kernel.Lock_table.encode_version 37));
   Alcotest.(check bool) "locked flag" true
-    (Swisstm.Lock_table.is_r_locked Swisstm.Lock_table.r_locked);
+    (Kernel.Lock_table.is_r_locked Kernel.Lock_table.r_locked);
   Alcotest.(check bool) "version not locked" false
-    (Swisstm.Lock_table.is_r_locked (Swisstm.Lock_table.encode_version 12));
+    (Kernel.Lock_table.is_r_locked (Kernel.Lock_table.encode_version 12));
   check Alcotest.int "w owner roundtrip" 5
-    (Swisstm.Lock_table.w_owner_of (Swisstm.Lock_table.encode_w_owner 5))
+    (Kernel.Lock_table.w_owner_of (Kernel.Lock_table.encode_w_owner 5))
 
 (* Both TL2 and TinySTM share the kernel's versioned-lock encoding. *)
 let test_tl2_lock_encoding () =
@@ -294,6 +294,28 @@ let test_escalation_bounds_storm () =
     (Printf.sprintf "timid worst run %d > K=%d" unbounded k)
     true (unbounded > k)
 
+(* A foreign exception must also vacate the §6 quiescence slot: were tid
+   0's failed transaction to leave its snapshot published, tid 1's update
+   commit would wait on it forever.  Run in the simulator so a hang shows
+   as a cycle-budget [Timeout] instead of a stuck test. *)
+let test_priv_exception_vacates_slot () =
+  let heap = Memory.Heap.create ~words:(1 lsl 12) in
+  let a = Memory.Heap.alloc heap 4 in
+  let e = Engines.make Engines.swisstm_priv_safe heap in
+  ignore
+    (Runtime.Sim.run ~cap_cycles:10_000_000
+       [|
+         (fun () ->
+           (try
+              Stm_intf.Engine.atomic e ~tid:0 (fun tx ->
+                  tx.write a 1;
+                  failwith "user bug")
+            with Failure _ -> ());
+           Stm_intf.Engine.atomic e ~tid:1 (fun tx ->
+               tx.write a (tx.read a + 1)));
+       |]);
+  check Alcotest.int "tid 1 committed" 1 (Memory.Heap.read heap a)
+
 let suite =
   List.map per_engine_cases all_specs
   @ [
@@ -317,4 +339,9 @@ let suite =
             Alcotest.test_case "escalation bounds abort storm" `Quick
               test_escalation_bounds_storm;
           ] );
+      ( "quiescence-slot",
+        [
+          Alcotest.test_case "swisstm-priv exception vacates slot" `Quick
+            test_priv_exception_vacates_slot;
+        ] );
     ]

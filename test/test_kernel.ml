@@ -167,8 +167,19 @@ let test_registry_coverage () =
         true
         (List.mem e.name Engines.known_names))
     composed;
-  (* swisstm's own point is listed twice: the classic hand-rolled engine
-     and its composed twin (the hot-path exemption, DESIGN.md §10). *)
+  (* Every advertised name resolves, and the debug variant stays hidden. *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " from known_names resolvable via Engines.of_string")
+        true
+        (Engines.of_string name <> None))
+    Engines.known_names;
+  Alcotest.(check bool)
+    "swisstm-broken hidden from known_names" false
+    (List.mem "swisstm-broken" Engines.known_names);
+  (* swisstm's own point is listed twice: the dedicated engine and its
+     composed twin on [Kernel.Compose]. *)
   Alcotest.(check bool)
     "composed twin at swisstm's point" true
     (List.exists

@@ -175,8 +175,46 @@ let test_fixedpoint_int_conversion () =
   Alcotest.(check int) "round" 3
     (Memory.Fixedpoint.to_int_round (Memory.Fixedpoint.of_float 2.6))
 
+(* Plain swisstm under an armed reclaimer announces quiescent states at
+   its transaction boundaries, like every kernel engine: blocks freed by
+   committed update transactions pass their grace period and leave limbo
+   while the thread keeps running, with no [drain]. *)
+let test_swisstm_announces_when_armed () =
+  let heap = Memory.Heap.create ~words:(1 lsl 14) in
+  let engine = Engines.make (Engines.with_table_bits 8 Engines.swisstm) heap in
+  let slot = Memory.Heap.alloc heap 1 in
+  (* threads left online by earlier runs in this process would hold every
+     grace period open *)
+  for tid = 0 to Runtime.Topology.max_cores - 1 do
+    Memory.Epoch.offline ~tid
+  done;
+  let adv0 = Memory.Epoch.advances () in
+  let rec0 = Memory.Epoch.reclaimed () in
+  Memory.Epoch.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      Memory.Epoch.offline ~tid:0;
+      Memory.Epoch.disarm ())
+    (fun () ->
+      for _ = 1 to 64 do
+        Stm_intf.Engine.atomic engine ~tid:0 (fun tx ->
+            let fresh = tx.Stm_intf.Engine.alloc 4 in
+            let old = tx.Stm_intf.Engine.read slot in
+            tx.Stm_intf.Engine.write slot fresh;
+            if old <> 0 then tx.Stm_intf.Engine.free old 4)
+      done;
+      check Alcotest.bool "global epoch advanced" true
+        (Memory.Epoch.advances () > adv0);
+      check Alcotest.bool "freed blocks reclaimed before any drain" true
+        (Memory.Epoch.reclaimed () > rec0))
+
 let suite =
   [
+    ( "epoch",
+      [
+        Alcotest.test_case "swisstm announces when armed" `Quick
+          test_swisstm_announces_when_armed;
+      ] );
     ( "heap",
       [
         Alcotest.test_case "read/write" `Quick test_heap_rw;
