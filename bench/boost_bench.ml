@@ -26,9 +26,10 @@
      there is no boosted Tx_list, so it runs word-only as the
      degradation reference.
 
-   Used by `bench ablations` (human-readable table) and by the perf_gate
-   v5 column (BENCH_PR9.json), which gates boosted map/pqueue throughput
-   >= word on this mix. *)
+   Used by `bench ablations` (human-readable table) and by the boost
+   section of bench/gate.ml, which gates boosted map/pqueue throughput
+   >= word on this mix and freezes the smoke makespans in
+   bench/gate_frozen.json. *)
 
 type row = {
   structure : string;

@@ -17,7 +17,8 @@
 
    The workload is deterministic simulated time, so the crossover shape
    (ahead at 1-2 threads, behind at the top count) is bit-stable and
-   gated in perf_gate; the frozen full-run numbers live in
+   gated in bench/gate.ml; its smoke ktps are frozen in
+   bench/gate_frozen.json, the earlier full-run numbers in
    BENCH_PR7.json. *)
 
 open Bench_common
@@ -137,14 +138,3 @@ let run () =
     (fun (name, ok) ->
       note "  %-18s %s" name (if ok then "ok" else "VIOLATED"))
     (shape_checks rows)
-
-(* The deterministic gate (also embedded in perf_gate): returns true iff
-   every leg of the crossover shape holds. *)
-let gate ~smoke () =
-  let rows = matrix ~duration_cycles:(duration_cycles ~smoke) () in
-  print_rows rows;
-  List.fold_left
-    (fun acc (name, ok) ->
-      Printf.printf "  crossover %-18s %s\n" name (if ok then "ok" else "FAIL");
-      acc && ok)
-    true (shape_checks rows)

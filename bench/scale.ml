@@ -19,8 +19,9 @@
      per-socket counters and the contention manager.
 
    Everything is simulated time, so the whole sweep is a deterministic
-   function of (topology, engine, seed): `make scale-smoke` runs the gate
-   twice in separate processes and cmp(1)s the JSON sidecars. *)
+   function of (topology, engine, seed): the smoke sidecar, every
+   per-socket counter included, is frozen in bench/gate_frozen.json and
+   compared by bench/gate.ml. *)
 
 open Bench_common
 
@@ -241,30 +242,31 @@ let checks rows steal_rows refusal =
 
 (* ---------- JSON sidecar ---------- *)
 
+let row_json r =
+  let open Obs.Json in
+  let h, m, s = totals r in
+  Obj
+    [
+      ("workload", Str r.workload);
+      ("engine", Str r.engine);
+      ("cores", Int r.cores);
+      ("sockets", Int r.sockets);
+      ("ktps", Float r.ktps);
+      ("elapsed_cycles", Int r.elapsed_cycles);
+      ("abort_rate", Float r.abort_rate);
+      ("hits", Int h);
+      ("misses", Int m);
+      ("steals", Int s);
+      ( "per_socket",
+        List
+          (Array.to_list
+             (Array.map
+                (fun (h, m, s) -> List [ Int h; Int m; Int s ])
+                r.per_socket)) );
+    ]
+
 let json ~smoke rows gran steal_rows refusal checks =
   let open Obs.Json in
-  let row_json r =
-    let h, m, s = totals r in
-    Obj
-      [
-        ("workload", Str r.workload);
-        ("engine", Str r.engine);
-        ("cores", Int r.cores);
-        ("sockets", Int r.sockets);
-        ("ktps", Float r.ktps);
-        ("elapsed_cycles", Int r.elapsed_cycles);
-        ("abort_rate", Float r.abort_rate);
-        ("hits", Int h);
-        ("misses", Int m);
-        ("steals", Int s);
-        ( "per_socket",
-          List
-            (Array.to_list
-               (Array.map
-                  (fun (h, m, s) -> List [ Int h; Int m; Int s ])
-                  r.per_socket)) );
-      ]
-  in
   Obj
     [
       ("schema", Str "swisstm-repro/scale/1");
@@ -306,7 +308,7 @@ let json ~smoke rows gran steal_rows refusal checks =
       ("checks", Obj (List.map (fun (n, ok) -> (n, Bool ok)) checks));
     ]
 
-(* ---------- gate entry (scale_gate.exe, perf_gate) ---------- *)
+(* ---------- gate entry (bench/gate.ml's scale section) ---------- *)
 
 type report = {
   rows : row list;

@@ -1,4 +1,4 @@
-(* Open-system service bench (`bench service` / service_gate):
+(* Open-system service bench (`bench service` / the gate's service section):
    latency/goodput curves for the SLO harness of lib/harness/service.ml.
 
    Two shapes:
@@ -14,9 +14,9 @@
      stretch it.
 
    Everything here is simulated time, so rows are deterministic
-   functions of (engine, config, seed): the gate freezes them (see
-   perf_gate) and `make service-smoke` additionally proves bit-identical
-   JSON across two processes. *)
+   functions of (engine, config, seed): the smoke sidecar, every SLO
+   window included, is frozen in bench/gate_frozen.json, and bench/gate.ml
+   compares it as a JSON value. *)
 
 open Harness
 
@@ -296,8 +296,8 @@ let to_json ~smoke ~ladder_engine ~ladder_rungs ~rows =
 
 let ladder_engine = "swisstm"
 
-(* Shared by service_gate (smoke CI + determinism cmp) and perf_gate
-   (frozen columns).  Returns (ok, rows, json). *)
+(* The gate section (bench/gate.ml; its smoke JSON is frozen in
+   bench/gate_frozen.json).  Returns the named checks and the sidecar. *)
 let gate ~smoke () =
   let rungs = ladder ~smoke ladder_engine in
   let ladder_ok = ladder_monotone rungs in
@@ -322,21 +322,19 @@ let gate ~smoke () =
     Printf.printf
       "    obs-off makespan %d != metered %d — a collector charged cycles!\n"
       unmetered.Service.elapsed_cycles metered_elapsed;
-  let cks = ("slo-zero-perturbation", perturb_ok) :: checks ~ladder_ok rows in
-  List.iter
-    (fun (name, ok) ->
-      Printf.printf "  service %-24s %s\n%!" name (if ok then "ok" else "FAIL"))
-    cks;
-  ( List.for_all snd cks,
-    List.map (fun (n, r) -> (n, row_of n r)) rows,
+  ( ("slo-zero-perturbation", perturb_ok) :: checks ~ladder_ok rows,
     to_json ~smoke ~ladder_engine ~ladder_rungs:rungs ~rows )
 
 (* `bench service`: the full-mode report + OBS_SERVICE.json sidecar. *)
 let run () =
   Bench_common.section "Service: open-system SLO curves (extension)";
-  let ok, _, json = gate ~smoke:false () in
+  let cks, json = gate ~smoke:false () in
+  List.iter
+    (fun (n, ok) ->
+      Bench_common.note "  check %-24s %s" n (if ok then "ok" else "FAIL"))
+    cks;
   let oc = open_out "OBS_SERVICE.json" in
   Obs.Json.to_channel oc json;
   close_out oc;
   Bench_common.note "  wrote OBS_SERVICE.json%s"
-    (if ok then "" else " (CHECK FAILURES ABOVE)")
+    (if List.for_all snd cks then "" else " (CHECK FAILURES ABOVE)")

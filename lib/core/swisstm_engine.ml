@@ -118,7 +118,7 @@ let rollback t (d : Txdesc.t) reason =
 
 (* [Hooks.kill_due], spelled out: this check runs on every access, and in
    a dev-profile build (dune's default, [-opaque]) the extra cross-module
-   call cost 8% on perf_gate's swisstm rw/cal ratio (12 paired runs). *)
+   call cost 8% on the gate's swisstm rw/cal ratio (12 paired runs). *)
 let check_kill t (d : Txdesc.t) =
   if
     (Cm.Cm_intf.kill_requested d.info && not (Serial.mine t.ser ~tid:d.tid))
@@ -327,7 +327,7 @@ let write_word t (d : Txdesc.t) addr value =
    the same order: [tx_begin] and [phase_other] in [start];
    [commit_entry], [enter_update_commit], [inject_stretch] and
    [commit_done] here.  Each hook is a cross-module call in a dev-profile
-   build ([-opaque]); spelling them out made perf_gate's swisstm rw
+   build ([-opaque]); spelling them out made the gate's swisstm rw
    faster in 20 of 24 in-process A/B runs (median about -3%).  Aborts and
    foreign exceptions go through [Hooks]. *)
 
@@ -484,7 +484,7 @@ let atomic_closed (d : Txdesc.t) f =
    one per-access path besides [check_kill] that stays spelled out: with
    the collectors off an access calls [read_word]/[write_word] directly,
    where a call through [ops_array]'s function parameter pays a generic
-   application stub (+2-3% on perf_gate's swisstm rw, 10 of 12
+   application stub (+2-3% on the gate's swisstm rw, 10 of 12
    in-process A/B runs).  The collector-on path is [Package]'s. *)
 let engine ?config heap : Engine.t =
   let t = create ?config heap in

@@ -47,21 +47,23 @@ let local =
 let limbo : record list array = Array.make max_threads []
 let calls = Array.make max_threads 0
 
-(* Counters (diagnostics; plain increments, surfaced as metrics gauges). *)
-let n_advances = ref 0
-let n_deferred = ref 0
-let n_reclaimed = ref 0
+(* Counters (diagnostics, surfaced as metrics gauges).  Atomic: native
+   domains defer and reclaim concurrently, and a plain [incr] loses
+   updates, which made deferred and reclaimed disagree after a drain. *)
+let n_advances = Atomic.make 0
+let n_deferred = Atomic.make 0
+let n_reclaimed = Atomic.make 0
 
-let advances () = !n_advances
-let deferred () = !n_deferred
-let reclaimed () = !n_reclaimed
-let limbo_depth () = !n_deferred - !n_reclaimed
+let advances () = Atomic.get n_advances
+let deferred () = Atomic.get n_deferred
+let reclaimed () = Atomic.get n_reclaimed
+let limbo_depth () = deferred () - reclaimed ()
 
 let current () = Atomic.get global
 
 let free_record r =
   Heap.free_now r.h r.addr r.n;
-  incr n_reclaimed
+  Atomic.incr n_reclaimed
 
 (* Reclaim every limbo record of [tid] whose grace period has passed.
    The list is newest-first with non-increasing stamps (the global epoch
@@ -86,7 +88,7 @@ let try_advance g =
     let l = Atomic.get local.(t) in
     if l >= 0 && l < g then all := false
   done;
-  if !all && Atomic.compare_and_set global g (g + 1) then incr n_advances
+  if !all && Atomic.compare_and_set global g (g + 1) then Atomic.incr n_advances
 
 (** Announce a quiescent state: thread [tid] holds no transactional
     snapshot right now.  Engines call this at transaction boundaries; the
@@ -116,7 +118,7 @@ let offline ~tid = Atomic.set local.(tid) offline_epoch
 let defer h addr n =
   let tid = Runtime.Exec.self () land (max_threads - 1) in
   limbo.(tid) <- { ep = Atomic.get global; h; addr; n } :: limbo.(tid);
-  incr n_deferred
+  Atomic.incr n_deferred
 
 (** Reclaim every limbo block unconditionally.  Caller asserts global
     quiescence (all participating threads joined / stopped). *)

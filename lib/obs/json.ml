@@ -252,3 +252,52 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None
+
+(* --- structural compare ------------------------------------------------ *)
+
+(* Path of the first differing leaf, rendered as "a.b[2].c: x ≠ y"
+   (expected ≠ actual).  Objects compare as maps (key order is not
+   significant); [Int 1] and [Float 1.0] differ, because the printer keeps
+   the two kinds apart and a frozen file must pin which one a field is. *)
+let diff ?(path = "") expected actual =
+  let show = function
+    | List _ -> "[...]"
+    | Obj _ -> "{...}"
+    | v -> to_string v
+  in
+  let key path k = if path = "" then k else path ^ "." ^ k in
+  let rec go path e a =
+    match (e, a) with
+    | Obj ekvs, Obj akvs -> (
+        let in_expected =
+          List.find_map
+            (fun (k, ev) ->
+              match List.assoc_opt k akvs with
+              | None -> Some (key path k ^ ": missing")
+              | Some av -> go (key path k) ev av)
+            ekvs
+        in
+        match in_expected with
+        | Some _ -> in_expected
+        | None ->
+            List.find_map
+              (fun (k, _) ->
+                if List.mem_assoc k ekvs then None
+                else Some (key path k ^ ": unexpected"))
+              akvs)
+    | List es, List as_ ->
+        let rec items i = function
+          | [], [] -> None
+          | _ :: _, [] -> Some (Printf.sprintf "%s[%d]: missing" path i)
+          | [], _ :: _ -> Some (Printf.sprintf "%s[%d]: unexpected" path i)
+          | e :: es, a :: as_ -> (
+              match go (Printf.sprintf "%s[%d]" path i) e a with
+              | None -> items (i + 1) (es, as_)
+              | d -> d)
+        in
+        items 0 (es, as_)
+    | Float x, Float y when Float.equal x y -> None
+    | (Null | Bool _ | Int _ | Str _), _ when e = a -> None
+    | _ -> Some (Printf.sprintf "%s: %s \u{2260} %s" path (show e) (show a))
+  in
+  go path expected actual

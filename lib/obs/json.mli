@@ -27,3 +27,11 @@ val member : string -> t -> t option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_list : t -> t list option
+
+val diff : ?path:string -> t -> t -> string option
+(** Structural compare.  [None] when equal; otherwise the path of the
+    first differing leaf under [path], e.g.
+    ["service.ramp[2].p999: 127036 ≠ 127037"] (expected ≠ actual), or
+    ["k: missing"] / ["k: unexpected"] for a key or list element present on
+    one side only.  Object key order is not significant; [Int 1] and
+    [Float 1.0] differ. *)

@@ -208,12 +208,42 @@ let test_swisstm_announces_when_armed () =
       check Alcotest.bool "freed blocks reclaimed before any drain" true
         (Memory.Epoch.reclaimed () > rec0))
 
+(* Native domains defer frees concurrently: the deferred and reclaimed
+   counters must count every one (the gate's native liveness check
+   requires deferred = reclaimed after a drain). *)
+let test_counters_exact_across_domains () =
+  let heap = Memory.Heap.create ~words:(1 lsl 20) in
+  let per_domain = 200_000 in
+  let def0 = Memory.Epoch.deferred () in
+  let rec0 = Memory.Epoch.reclaimed () in
+  Memory.Epoch.arm ();
+  (* a start barrier, so the domains' loops overlap *)
+  let ready = Atomic.make 0 in
+  let doms =
+    Array.init 4 (fun tid ->
+        Domain.spawn (fun () ->
+            Runtime.Exec.set_native_tid tid;
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do Domain.cpu_relax () done;
+            for _ = 1 to per_domain do
+              Memory.Heap.free heap (Memory.Heap.alloc heap 1) 1
+            done))
+  in
+  Array.iter Domain.join doms;
+  Memory.Epoch.disarm ();
+  check Alcotest.int "every deferral counted" (4 * per_domain)
+    (Memory.Epoch.deferred () - def0);
+  check Alcotest.int "every reclamation counted" (4 * per_domain)
+    (Memory.Epoch.reclaimed () - rec0)
+
 let suite =
   [
     ( "epoch",
       [
         Alcotest.test_case "swisstm announces when armed" `Quick
           test_swisstm_announces_when_armed;
+        Alcotest.test_case "counters exact across domains" `Quick
+          test_counters_exact_across_domains;
       ] );
     ( "heap",
       [

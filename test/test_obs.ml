@@ -104,6 +104,54 @@ let test_json_roundtrip () =
     | exception Obs.Json.Parse_error _ -> true
     | _ -> false)
 
+(* --- structural compare (the gate's frozen-file diff) ---------------------- *)
+
+let test_json_diff () =
+  let open Obs.Json in
+  let tree p999 =
+    Obj
+      [
+        ("mode", Str "smoke");
+        ( "ramp",
+          List
+            [
+              Obj [ ("p50", Int 1); ("p999", Int 10) ];
+              Obj [ ("p50", Int 2); ("p999", Int 20) ];
+              Obj [ ("p50", Int 3); ("p999", Int p999) ];
+            ] );
+      ]
+  in
+  let diff = diff ~path:"service" in
+  check (option string) "equal trees" None (diff (tree 127036) (tree 127036));
+  check (option string) "changed int in a nested list"
+    (Some "service.ramp[2].p999: 127036 \u{2260} 127037")
+    (diff (tree 127036) (tree 127037));
+  check (option string) "key order is not significant" None
+    (diff (Obj [ ("a", Int 1); ("b", Int 2) ]) (Obj [ ("b", Int 2); ("a", Int 1) ]));
+  check (option string) "missing key" (Some "service.b: missing")
+    (diff (Obj [ ("a", Int 1); ("b", Int 2) ]) (Obj [ ("a", Int 1) ]));
+  check (option string) "extra key" (Some "service.c: unexpected")
+    (diff (Obj [ ("a", Int 1) ]) (Obj [ ("a", Int 1); ("c", Null) ]));
+  check (option string) "missing list element" (Some "service[1]: missing")
+    (diff (List [ Int 1; Int 2 ]) (List [ Int 1 ]));
+  check (option string) "Int 1 vs Float 1.0"
+    (Some "x: 1 \u{2260} 1.0")
+    (Obs.Json.diff ~path:"x" (Int 1) (Float 1.0));
+  (* A float printed with %.17g and parsed back is the same double, so a
+     frozen file written by another process compares equal — also when a
+     tool re-wrote it with the shortest round-tripping digits. *)
+  let f = 0.1 +. 0.2 and g = 167.9755948501685 in
+  let printed = to_string (List [ Float f; Float g ]) in
+  check string "printed at %.17g" "[0.30000000000000004,167.97559485016851]"
+    printed;
+  check (option string) "float round-trips through %.17g" None
+    (diff (List [ Float f; Float g ]) (of_string printed));
+  check (option string) "shortest digits parse to the same double" None
+    (diff (of_string "[0.30000000000000004,167.9755948501685]")
+       (of_string printed));
+  check bool "nearest neighbour differs" true
+    (diff (Float f) (Float (Float.succ f)) <> None)
+
 (* --- catapult export round-trip ------------------------------------------ *)
 
 let test_catapult_roundtrip () =
@@ -236,7 +284,11 @@ let suite =
     ( "obs:registry",
       [ test_case "reset keeps registrations" `Quick test_registry_reset ] );
     ( "obs:json",
-      [ test_case "print/parse round-trip" `Quick test_json_roundtrip ] );
+      [
+        test_case "print/parse round-trip" `Quick test_json_roundtrip;
+        test_case "structural diff names the first differing leaf" `Quick
+          test_json_diff;
+      ] );
     ( "obs:export",
       [
         test_case "catapult file round-trip" `Quick test_catapult_roundtrip;
