@@ -32,6 +32,13 @@ let next_deadline = ref max_int
    run; [Sim] clears it before resuming a thread. *)
 let blocked_yield = ref false
 
+(* Set by [Sim]'s earliest-first loops, which would dispatch a thread whose
+   clock is strictly below [next_deadline] straight back to itself: with it
+   set, [pause]/[yield] skip that round trip.  Policies that may pick
+   another thread (random, PCT) leave it clear, so every spin yields and
+   PCT sees the blocked yield it demotes on. *)
+let elide_self = ref false
+
 let in_sim () = !cur >= 0
 
 (* --- simulated-time profiler backend (read by lib/obs) ----------------
@@ -121,9 +128,11 @@ let idle_until t =
     if d > 0 then tick_as ph_idle d
   end
 
-(** Yield unconditionally (used by spin loops that made no progress). *)
+(** Yield to the scheduler (used by spin loops that made no progress);
+    elided when the scheduler would resume the caller anyway. *)
 let yield () =
-  if !cur >= 0 then begin
+  let c = !cur in
+  if c >= 0 && not (!elide_self && (!vtimes).(c) < !next_deadline) then begin
     blocked_yield := true;
     Effect.perform Yield
   end
@@ -151,10 +160,16 @@ let pause () =
     let p = (Costs.get ()).pause in
     if !prof_on then prof_add_as c ph_spin p;
     let v = !vtimes in
-    v.(c) <- v.(c) + p;
-    (* A spinning thread must always let the lock owner run, even when the
-       spinner is still the earliest thread. *)
-    blocked_yield := true;
-    Effect.perform Yield
+    let t = v.(c) + p in
+    v.(c) <- t;
+    (* A spinner must let the lock owner run.  Under random and PCT that
+       means yielding on every spin, even while the spinner is the earliest
+       thread; under earliest-first, a spinner whose clock is still
+       strictly below the deadline would be dispatched straight back, so
+       the yield is elided (see [elide_self]). *)
+    if not (!elide_self && t < !next_deadline) then begin
+      blocked_yield := true;
+      Effect.perform Yield
+    end
   end
   else Domain.cpu_relax ()

@@ -11,7 +11,8 @@ val tick : int -> unit
     May switch to another simulated thread. *)
 
 val yield : unit -> unit
-(** Yield to the scheduler unconditionally (no-op natively). *)
+(** Yield to the scheduler (no-op natively).  Under earliest-first the
+    yield is skipped while the caller would be resumed straight away. *)
 
 val self : unit -> int
 (** Logical thread id: simulated tid, or the id registered with
@@ -22,7 +23,8 @@ val now : unit -> int
 
 val pause : unit -> unit
 (** One spin-wait iteration: charges {!Costs.t.pause} and yields in a
-    simulation; [Domain.cpu_relax] natively. *)
+    simulation, except under earliest-first while the caller would be
+    resumed straight away; [Domain.cpu_relax] natively. *)
 
 val set_native_tid : int -> unit
 (** Register the calling domain's logical thread id (native mode). *)
@@ -107,3 +109,8 @@ val blocked_yield : bool ref
 (* Set by [pause]/[yield] (a no-progress yield), cleared by [Sim] before
    resuming a thread.  Lets non-earliest-first scheduler policies demote
    spinners instead of livelocking on them. *)
+
+val elide_self : bool ref
+(* Set by [Sim]'s earliest-first loops: [pause]/[yield] below
+   [next_deadline] skip the yield the scheduler would answer by resuming
+   the same thread. *)

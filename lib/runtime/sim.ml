@@ -8,8 +8,11 @@
      the smallest virtual time (ties broken by thread id).  A thread keeps
      running without a context switch for as long as it remains the
      earliest one; the resulting schedule is identical to switching on
-     every tick, minus the overhead.  This is the policy every benchmark
-     runs under: it is the one that makes virtual makespans meaningful.
+     every tick, minus the overhead.  For the same reason a spin-loop
+     [pause]/[yield] whose clock stays strictly below the deadline does
+     not yield at all ([Exec.elide_self]): this policy would resume the
+     spinner straight away.  This is the policy every benchmark runs
+     under: it is the one that makes virtual makespans meaningful.
 
    - [Random _]: seeded perturbation for schedule exploration.  Each
      decision picks uniformly among the live threads whose clocks are
@@ -30,7 +33,12 @@
 
    All three are deterministic functions of (bodies, policy): same seed,
    same schedule — which is what makes a failing fuzzer triple
-   (policy, seed, program) replayable. *)
+   (policy, seed, program) replayable.
+
+   A context switch costs one effect round trip plus an O(log n) heap fix:
+   parking stores the runtime's continuation into a preallocated slot, so a
+   dispatch allocates only that continuation (2 words), and the heap reads
+   its keys from an [int array] instead of calling a comparison closure. *)
 
 exception Timeout of int
 (** Raised when every live thread's virtual clock passed the [cap_cycles]
@@ -57,13 +65,38 @@ let policy_name = function
   | Pct { seed; depth; _ } -> Printf.sprintf "pct:%d(d=%d)" seed depth
 
 type state = {
-  conts : (unit, unit) Effect.Deep.continuation option array;
+  conts : (unit, unit) Effect.Deep.continuation array;  (* [no_cont] = none *)
   started : bool array;
   finished : bool array;
   vtimes : int array;
 }
 
+(* The empty continuation slot.  A real continuation — captured once, here,
+   and never resumed — so the slot stays fully typed and parking stores the
+   runtime's continuation itself instead of a fresh [Some k] per yield. *)
+let no_cont : (unit, unit) Effect.Deep.continuation =
+  let slot = ref None in
+  let park =
+    Some (fun (k : (unit, unit) Effect.Deep.continuation) -> slot := Some k)
+  in
+  Effect.Deep.match_with Effect.perform Exec.Yield
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Exec.Yield -> park | _ -> None);
+    };
+  Option.get !slot
+
+(* One handler per thread, built when the thread starts.  Matching [Yield]
+   refines [a] to [unit], so the branch returns the thread's preallocated
+   [park] and a yield allocates nothing beyond the runtime's continuation. *)
 let make_handler st tid =
+  let park =
+    Some (fun (k : (unit, unit) Effect.Deep.continuation) -> st.conts.(tid) <- k)
+  in
   {
     Effect.Deep.retc = (fun () -> st.finished.(tid) <- true);
     exnc =
@@ -71,17 +104,15 @@ let make_handler st tid =
         (* re-raise with the thread body's backtrace, not this frame's *)
         Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Exec.Yield ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                st.conts.(tid) <- Some k)
-        | _ -> None);
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Exec.Yield -> park | _ -> None);
   }
 
 (* Observability hook (installed by lib/obs): called with the thread id on
-   every dispatch decision, before the thread is resumed.  Same ref-pair
+   every dispatch decision, before the thread is resumed.  A self-dispatch
+   elided under earliest-first is no dispatch and does not call it; it
+   never was a switch either, so switch counts are unchanged.  Same ref-pair
    discipline as the Trace hooks: one load + one branch when off, and the
    hook must not charge cycles or touch scheduler state. *)
 let on_dispatch : (int -> unit) ref = ref (fun _ -> ())
@@ -93,39 +124,44 @@ let step st bodies alive tid =
   if !on_dispatch_enabled then !on_dispatch tid;
   Exec.cur := tid;
   Exec.blocked_yield := false;
-  (match st.conts.(tid) with
-  | Some k ->
-      st.conts.(tid) <- None;
-      Effect.Deep.continue k ()
-  | None ->
-      if st.started.(tid) then
-        (* A started thread with no continuation yielded nothing and
-           did not finish: impossible by construction. *)
-        assert false
-      else begin
-        st.started.(tid) <- true;
-        Effect.Deep.match_with bodies.(tid) () (make_handler st tid)
-      end);
+  let k = st.conts.(tid) in
+  if k != no_cont then begin
+    st.conts.(tid) <- no_cont;
+    Effect.Deep.continue k ()
+  end
+  else begin
+    (* A started thread with no continuation yielded nothing and did not
+       finish: impossible by construction. *)
+    assert (not st.started.(tid));
+    st.started.(tid) <- true;
+    Effect.Deep.match_with bodies.(tid) () (make_handler st tid)
+  end;
   Exec.cur := -1;
   if st.finished.(tid) then decr alive
 
 (* --- indexed heap ------------------------------------------------------ *)
 
-(* Indexed binary heap over thread ids under a pluggable strict total
-   order.  Replaces the O(n) per-dispatch scans below: at 512 simulated
-   threads the scans made every policy loop quadratic in the schedule
-   length.  Only the just-stepped thread's key ever changes (its clock
-   moved, or PCT demoted it), so each dispatch costs one O(log n) [fix]
-   plus O(1) reads — and the orders used are exactly the scans'
-   tie-breaks, so schedules are bit-identical (gated by the
-   heap-vs-scan differential test and the frozen sb7 matrix). *)
+(* Indexed binary min-heap over thread ids, ordered by [(key.(tid), tid)]
+   lexicographically.  Replaces the O(n) per-dispatch scans below: at 512
+   simulated threads the scans made every policy loop quadratic in the
+   schedule length.  Only the just-stepped thread's key ever changes (its
+   clock moved, or PCT demoted it), so each dispatch costs one O(log n)
+   [fix] plus O(1) reads — and the orders used are exactly the scans'
+   tie-breaks, so schedules are bit-identical (gated by the heap-vs-scan
+   differential test and the frozen sb7 matrix).  The key is a plain
+   [int array] read in place, not a comparison closure: the clock heaps
+   key on the live [vtimes], PCT's priority heap on negated priorities. *)
 module Iheap = struct
   type t = {
     heap : int array;  (* position -> tid *)
     pos : int array;  (* tid -> position, -1 once removed *)
-    less : int -> int -> bool;
+    key : int array;  (* tid -> key, owned by the caller *)
     mutable size : int;
   }
+
+  let[@inline] less h a b =
+    let ka = h.key.(a) and kb = h.key.(b) in
+    ka < kb || (ka = kb && a < b)
 
   let swap h i j =
     let a = h.heap.(i) and b = h.heap.(j) in
@@ -137,7 +173,7 @@ module Iheap = struct
   let rec sift_up h i =
     if i > 0 then begin
       let p = (i - 1) / 2 in
-      if h.less h.heap.(i) h.heap.(p) then begin
+      if less h h.heap.(i) h.heap.(p) then begin
         swap h i p;
         sift_up h p
       end
@@ -147,21 +183,22 @@ module Iheap = struct
     let l = (2 * i) + 1 in
     if l < h.size then begin
       let m =
-        if l + 1 < h.size && h.less h.heap.(l + 1) h.heap.(l) then l + 1
+        if l + 1 < h.size && less h h.heap.(l + 1) h.heap.(l) then l + 1
         else l
       in
-      if h.less h.heap.(m) h.heap.(i) then begin
+      if less h h.heap.(m) h.heap.(i) then begin
         swap h i m;
         sift_down h m
       end
     end
 
-  let make n less =
+  let make key =
+    let n = Array.length key in
     let h =
       {
         heap = Array.init n (fun i -> i);
         pos = Array.init n (fun i -> i);
-        less;
+        key;
         size = n;
       }
     in
@@ -192,14 +229,20 @@ end
 
 (* --- policy loops (heap dispatch) -------------------------------------- *)
 
-(* The scans pick the smallest (vtime, tid) pair; the same lexicographic
-   order keyed into the heap reproduces their selection exactly. *)
-let vtime_less st a b =
-  let ta = st.vtimes.(a) and tb = st.vtimes.(b) in
-  ta < tb || (ta = tb && a < b)
+(* [Stdlib.min] is polymorphic: a C comparison call per use, twice per
+   dispatch on the hot loop. *)
+let imin (a : int) b = if a <= b then a else b
 
-let run_earliest_heap st bodies alive n cap_cycles =
-  let h = Iheap.make n (vtime_less st) in
+(* The scans pick the smallest (vtime, tid) pair; the heap keyed on
+   [st.vtimes] orders by exactly that pair and reproduces their selection.
+
+   Earliest-first turns on [Exec.elide_self]: a [pause]/[yield] whose
+   clock is still strictly below [next_deadline] skips the round trip,
+   because this loop would dispatch the same thread straight back with
+   the same deadline. *)
+let run_earliest_heap st bodies alive cap_cycles =
+  Exec.elide_self := true;
+  let h = Iheap.make st.vtimes in
   while !alive > 0 do
     let best = Iheap.min h in
     let best_t = st.vtimes.(best) in
@@ -210,15 +253,15 @@ let run_earliest_heap st bodies alive n cap_cycles =
     let second = ref max_int in
     if h.Iheap.size > 1 then second := st.vtimes.(h.Iheap.heap.(1));
     if h.Iheap.size > 2 then
-      second := Stdlib.min !second st.vtimes.(h.Iheap.heap.(2));
-    Exec.next_deadline := Stdlib.min !second cap_cycles;
+      second := imin !second st.vtimes.(h.Iheap.heap.(2));
+    Exec.next_deadline := imin !second cap_cycles;
     step st bodies alive best;
     if st.finished.(best) then Iheap.remove h best else Iheap.fix h best
   done
 
 let run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum =
   let rng = Rng.create seed in
-  let h = Iheap.make n (vtime_less st) in
+  let h = Iheap.make st.vtimes in
   let cand = Array.make n 0 in
   while !alive > 0 do
     let min_t = st.vtimes.(Iheap.min h) in
@@ -253,16 +296,20 @@ let run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum =
     let pick = Rng.int rng !count in
     let tid = cand.(pick) in
     Exec.next_deadline :=
-      Stdlib.min (st.vtimes.(tid) + 1 + Rng.int rng quantum) cap_cycles;
+      imin (st.vtimes.(tid) + 1 + Rng.int rng quantum) cap_cycles;
     step st bodies alive tid;
     if st.finished.(tid) then Iheap.remove h tid else Iheap.fix h tid
   done
 
 let run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon =
   let rng = Rng.create seed in
-  let prio = Array.init n (fun i -> i) in
-  Rng.shuffle rng prio;
-  let floor_prio = ref (-1) in
+  (* The priority heap is a min-heap, so it keys on negated priorities:
+     the scan's shuffled [prio] is [-neg_prio] (the shuffle moves slots,
+     not values) and its fresh floor priorities [-1, -2, ...] are the
+     rising keys [1, 2, ...] here. *)
+  let neg_prio = Array.init n (fun i -> -i) in
+  Rng.shuffle rng neg_prio;
+  let demoted_key = ref 1 in
   let change_points =
     Array.init (max 0 (depth - 1)) (fun _ -> Rng.int rng horizon)
   in
@@ -272,10 +319,10 @@ let run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon =
   let lag = 4 * horizon in
   (* Two heaps: clocks for the timeout/lag minimum, priorities for the
      selection.  Priorities are unique by construction (a permutation,
-     then strictly decreasing fresh values), so the max needs no
-     tie-break. *)
-  let vh = Iheap.make n (vtime_less st) in
-  let ph = Iheap.make n (fun a b -> prio.(a) > prio.(b)) in
+     then strictly decreasing fresh values), so the tid tie-break never
+     decides between them. *)
+  let vh = Iheap.make st.vtimes in
+  let ph = Iheap.make neg_prio in
   while !alive > 0 do
     let min_t = st.vtimes.(Iheap.min vh) in
     if min_t > cap_cycles then raise (Timeout min_t);
@@ -291,7 +338,7 @@ let run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon =
       if until_change = max_int then max_int else before + until_change
     in
     Exec.next_deadline :=
-      Stdlib.min (Stdlib.min change_deadline lag_deadline) cap_cycles;
+      imin (imin change_deadline lag_deadline) cap_cycles;
     step st bodies alive tid;
     progressed := !progressed + (st.vtimes.(tid) - before);
     let fin = st.finished.(tid) in
@@ -304,29 +351,31 @@ let run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon =
       !next_change < Array.length change_points
       && !progressed >= change_points.(!next_change)
     then begin
-      prio.(tid) <- !floor_prio;
-      decr floor_prio;
+      neg_prio.(tid) <- !demoted_key;
+      incr demoted_key;
       incr next_change;
       if not fin then Iheap.fix ph tid
     end
     else if
       (not fin) && (!Exec.blocked_yield || st.vtimes.(tid) >= lag_deadline)
     then begin
-      prio.(tid) <- !floor_prio;
-      decr floor_prio;
+      neg_prio.(tid) <- !demoted_key;
+      incr demoted_key;
       Iheap.fix ph tid
     end
   done
 
 (* --- policy loops (legacy linear scans) --------------------------------
 
-   Kept verbatim as the reference implementation: the heap-vs-scan
-   differential test asserts bit-identical schedules at n <= 8, and the
+   Kept as the reference implementation: the heap-vs-scan differential
+   test asserts bit-identical schedules at 8 to 256 threads, and the
    frozen sb7 smoke matrix pins the heap path to what these produced. *)
 
 (* The benchmark policy: always the earliest live thread, preempted when it
-   ticks past the second-earliest clock. *)
+   ticks past the second-earliest clock.  Elides self-dispatches exactly as
+   [run_earliest_heap] does, so the differential covers the elision. *)
 let run_earliest st bodies alive n cap_cycles =
+  Exec.elide_self := true;
   while !alive > 0 do
     (* Select the earliest live thread and the deadline after which it
        must yield back (the second-earliest live thread's clock). *)
@@ -453,6 +502,33 @@ let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
     end
   done
 
+exception Unwind
+
+(* OCaml frees a fiber's stack only when the fiber finishes, so an abnormal
+   exit — [Timeout], or a body raising — would leak the stack of every
+   thread still parked.  Finish each one by raising the private [Unwind] at
+   its suspension point, under its own tid so that release paths charge
+   the right clock.  No tick preempts meanwhile, but a [pause] in the
+   unwinding code (say, an emergency release waiting on a lock a parked
+   thread holds) parks the fiber again: it then gets [Unwind] once more,
+   at most [max_reparks] times before it is abandoned.  Whatever the
+   unwinding raises is dropped; the caller re-raises the original. *)
+let max_reparks = 64
+
+let unwind st =
+  Exec.elide_self := false;
+  Exec.next_deadline := max_int;
+  for tid = 0 to Array.length st.conts - 1 do
+    let reparks = ref 0 in
+    while st.conts.(tid) != no_cont && !reparks < max_reparks do
+      let k = st.conts.(tid) in
+      st.conts.(tid) <- no_cont;
+      Exec.cur := tid;
+      (try Effect.Deep.discontinue k Unwind with _ -> ());
+      incr reparks
+    done
+  done
+
 (** [run bodies] executes all thread bodies to completion under the
     simulated scheduler and returns the final per-thread virtual times.
     [cap_cycles] (default 10^12) bounds any thread's virtual clock and turns
@@ -461,7 +537,8 @@ let run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon =
     [dispatch] selects the dispatcher implementation: the indexed heap
     (default) or the legacy linear scans it replaced — both produce
     bit-identical schedules (the scans are kept as the reference for the
-    differential gate). *)
+    differential gate).  When a body raises, or on [Timeout], every parked
+    thread is unwound before the exception propagates. *)
 let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
     ?(dispatch = `Heap) (bodies : (unit -> unit) array) =
   if Exec.in_sim () then raise Nested_simulation;
@@ -470,7 +547,7 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
   else begin
     let st =
       {
-        conts = Array.make n None;
+        conts = Array.make n no_cont;
         started = Array.make n false;
         finished = Array.make n false;
         vtimes = Array.make n 0;
@@ -478,25 +555,34 @@ let run ?(cap_cycles = 1_000_000_000_000) ?(policy = Earliest_first)
     in
     let saved_vtimes = !Exec.vtimes and saved_deadline = !Exec.next_deadline in
     Exec.vtimes := st.vtimes;
-    let cleanup () =
+    let restore () =
       Exec.cur := -1;
+      Exec.elide_self := false;
       Exec.vtimes := saved_vtimes;
       Exec.next_deadline := saved_deadline
     in
-    Fun.protect ~finally:cleanup (fun () ->
-        let alive = ref n in
-        (match (policy, dispatch) with
-        | Earliest_first, `Heap -> run_earliest_heap st bodies alive n cap_cycles
-        | Earliest_first, `Scan -> run_earliest st bodies alive n cap_cycles
-        | Random { seed; window; quantum }, `Heap ->
-            run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum
-        | Random { seed; window; quantum }, `Scan ->
-            run_random st bodies alive n cap_cycles ~seed ~window ~quantum
-        | Pct { seed; depth; horizon }, `Heap ->
-            run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon
-        | Pct { seed; depth; horizon }, `Scan ->
-            run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon);
-        Array.copy st.vtimes)
+    let alive = ref n in
+    match
+      match (policy, dispatch) with
+      | Earliest_first, `Heap -> run_earliest_heap st bodies alive cap_cycles
+      | Earliest_first, `Scan -> run_earliest st bodies alive n cap_cycles
+      | Random { seed; window; quantum }, `Heap ->
+          run_random_heap st bodies alive n cap_cycles ~seed ~window ~quantum
+      | Random { seed; window; quantum }, `Scan ->
+          run_random st bodies alive n cap_cycles ~seed ~window ~quantum
+      | Pct { seed; depth; horizon }, `Heap ->
+          run_pct_heap st bodies alive n cap_cycles ~seed ~depth ~horizon
+      | Pct { seed; depth; horizon }, `Scan ->
+          run_pct st bodies alive n cap_cycles ~seed ~depth ~horizon
+    with
+    | () ->
+        restore ();
+        Array.copy st.vtimes
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        unwind st;
+        restore ();
+        Printexc.raise_with_backtrace e bt
   end
 
 (** Convenience wrapper: run [threads] copies of [body tid] and return the

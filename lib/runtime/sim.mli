@@ -54,7 +54,10 @@ val run :
     [policy] defaults to {!Earliest_first}.  [dispatch] (default
     [`Heap]) picks the O(log n) indexed-heap dispatcher or the legacy
     O(n) scans; the two are bit-identical (differentially tested), the
-    scans exist only as the reference implementation. *)
+    scans exist only as the reference implementation.  When a body raises,
+    or on [Timeout], every thread still parked is unwound (its pending
+    handlers and [Fun.protect] finalisers run) before the exception
+    propagates, so no fiber stack is leaked. *)
 
 val run_threads :
   ?cap_cycles:int ->
@@ -69,6 +72,8 @@ val run_threads :
 val on_dispatch : (int -> unit) ref
 (** Observability hook, fired with the thread id on every scheduler
     dispatch when {!on_dispatch_enabled} is set (installed by [lib/obs]).
+    Under {!Earliest_first} a [pause]/[yield] that the scheduler would
+    answer by resuming the same thread is elided and fires nothing.
     The hook must not charge cycles or touch scheduler state. *)
 
 val on_dispatch_enabled : bool ref

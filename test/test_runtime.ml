@@ -660,42 +660,209 @@ let test_costs_distance_ordering () =
 (* The indexed-heap dispatcher replaced the O(n) scans; the scans survive
    as the reference implementation.  Under every policy the two must
    produce the same dispatch sequence and the same final vtimes. *)
-let dispatch_trace ~policy ~dispatch =
-  let buf = Buffer.create 256 in
+let with_dispatch_hook hook f =
   let saved_hook = !Runtime.Sim.on_dispatch in
   let saved_enabled = !Runtime.Sim.on_dispatch_enabled in
-  Runtime.Sim.on_dispatch :=
-    (fun tid -> Buffer.add_string buf (string_of_int tid ^ ";"));
+  Runtime.Sim.on_dispatch := hook;
   Runtime.Sim.on_dispatch_enabled := true;
   Fun.protect
     ~finally:(fun () ->
       Runtime.Sim.on_dispatch := saved_hook;
       Runtime.Sim.on_dispatch_enabled := saved_enabled)
+    f
+
+(* Random ticks with an occasional pause. *)
+let mixed_bodies ~threads ~pause =
+  Array.init threads (fun tid () ->
+      let rng = Runtime.Rng.for_thread ~seed:11 ~tid in
+      for _ = 1 to 30 do
+        Runtime.Exec.tick (1 + Runtime.Rng.int rng 400);
+        if Runtime.Rng.int rng 4 = 0 then pause ()
+      done)
+
+(* Every fourth thread spins on a round counter its neighbour bumps after
+   a long tick.  The neighbour's clock jumps ahead, so the spinner stays
+   the earliest thread for many pauses: the regime where earliest-first
+   elides its self-dispatches. *)
+let spin_bodies ~threads ~pause =
+  let round = Array.make threads 0 in
+  Array.init threads (fun tid () ->
+      let rng = Runtime.Rng.for_thread ~seed:13 ~tid in
+      for r = 1 to 5 do
+        if tid mod 4 = 0 && tid + 1 < threads then
+          while round.(tid + 1) < r do
+            pause ()
+          done
+        else begin
+          Runtime.Exec.tick (500 + Runtime.Rng.int rng 3000);
+          round.(tid) <- r
+        end
+      done)
+
+(* Also counts the pauses that returned without a dispatch: elided ones. *)
+let dispatch_trace ~policy ~dispatch ~bodies ~threads =
+  let buf = Buffer.create 4096 and dispatches = ref 0 and elided = ref 0 in
+  let pause () =
+    let before = !dispatches in
+    Runtime.Exec.pause ();
+    if !dispatches = before then incr elided
+  in
+  with_dispatch_hook
+    (fun tid ->
+      incr dispatches;
+      Buffer.add_string buf (string_of_int tid ^ ";"))
     (fun () ->
-      let body tid () =
-        let rng = Runtime.Rng.for_thread ~seed:11 ~tid in
-        for _ = 1 to 30 do
-          Runtime.Exec.tick (1 + Runtime.Rng.int rng 400);
-          if Runtime.Rng.int rng 4 = 0 then Runtime.Exec.pause ()
-        done
-      in
-      let vts = Runtime.Sim.run ~policy ~dispatch (Array.init 8 body) in
-      (Buffer.contents buf, vts))
+      let vts = Runtime.Sim.run ~policy ~dispatch (bodies ~threads ~pause) in
+      (Buffer.contents buf, vts, !elided))
 
 let test_sim_heap_matches_scan () =
   List.iter
-    (fun (name, policy) ->
-      let heap_trace, heap_vts = dispatch_trace ~policy ~dispatch:`Heap in
-      let scan_trace, scan_vts = dispatch_trace ~policy ~dispatch:`Scan in
-      check Alcotest.string (name ^ ": same dispatch sequence") scan_trace
-        heap_trace;
-      check Alcotest.(array int) (name ^ ": same final vtimes") scan_vts
-        heap_vts)
-    [
-      ("earliest", Runtime.Sim.Earliest_first);
-      ("random", Runtime.Sim.random_policy 3);
-      ("pct", Runtime.Sim.pct_policy 5);
-    ]
+    (fun (kind, bodies) ->
+      List.iter
+        (fun threads ->
+          List.iter
+            (fun (pname, policy) ->
+              let name = Printf.sprintf "%s/%dT/%s" kind threads pname in
+              let heap_trace, heap_vts, heap_elided =
+                dispatch_trace ~policy ~dispatch:`Heap ~bodies ~threads
+              in
+              let scan_trace, scan_vts, scan_elided =
+                dispatch_trace ~policy ~dispatch:`Scan ~bodies ~threads
+              in
+              check Alcotest.string (name ^ ": same dispatch sequence")
+                scan_trace heap_trace;
+              check Alcotest.(array int) (name ^ ": same final vtimes")
+                scan_vts heap_vts;
+              check Alcotest.int (name ^ ": same elided pauses") scan_elided
+                heap_elided;
+              (* Only earliest-first elides, and the spinners make it fire. *)
+              if policy <> Runtime.Sim.Earliest_first then
+                check Alcotest.int (name ^ ": every pause dispatches") 0
+                  heap_elided
+              else if kind = "spin" then
+                Alcotest.(check bool) (name ^ ": elision fires") true
+                  (heap_elided > 0))
+            [
+              ("earliest", Runtime.Sim.Earliest_first);
+              ("random", Runtime.Sim.random_policy 3);
+              ("pct", Runtime.Sim.pct_policy 5);
+            ])
+        [ 8; 64; 256 ])
+    [ ("mixed", mixed_bodies); ("spin", spin_bodies) ]
+
+(* The elision oracle: a pause that always performs the yield, as [pause]
+   did before earliest-first elided self-dispatches, must produce the same
+   interleaving — spinners poll shared state, so the order of their
+   pauses shows every schedule difference, ties included. *)
+let test_sim_elision_keeps_schedule () =
+  let trace pause threads =
+    let log = Buffer.create 4096 in
+    let pause () =
+      pause ();
+      Buffer.add_string log
+        (Printf.sprintf "%d@%d;" (Runtime.Exec.self ()) (Runtime.Exec.now ()))
+    in
+    let vts = Runtime.Sim.run (spin_bodies ~threads ~pause) in
+    (Buffer.contents log, vts)
+  in
+  let always_yield () =
+    Runtime.Exec.tick_as Runtime.Exec.ph_spin (Runtime.Costs.get ()).pause;
+    Effect.perform Runtime.Exec.Yield
+  in
+  List.iter
+    (fun threads ->
+      let log, vts = trace Runtime.Exec.pause threads in
+      let ref_log, ref_vts = trace always_yield threads in
+      check Alcotest.string
+        (Printf.sprintf "%dT: same interleaving" threads)
+        ref_log log;
+      check Alcotest.(array int)
+        (Printf.sprintf "%dT: same final vtimes" threads)
+        ref_vts vts)
+    [ 8; 64; 256 ]
+
+(* A dispatch parks the thread in a preallocated slot: the only allocation
+   per context switch is the runtime's continuation. *)
+let test_sim_dispatch_allocation () =
+  let dispatches = ref 0 in
+  with_dispatch_hook
+    (fun _ -> incr dispatches)
+    (fun () ->
+      let body _ () =
+        for _ = 1 to 10_000 do
+          Runtime.Exec.tick 1
+        done
+      in
+      let w0 = Gc.minor_words () in
+      ignore (Runtime.Sim.run (Array.init 8 body));
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) "tens of thousands of dispatches" true
+        (!dispatches > 50_000);
+      let per = words /. float_of_int !dispatches in
+      if per > 4. then
+        Alcotest.failf "%.2f minor words per dispatch (> 4)" per)
+
+(* Earliest-first resumes a lone spinner without dispatching it; random
+   and PCT still see every pause. *)
+let test_sim_self_dispatch_elided () =
+  let count policy =
+    let dispatches = ref 0 in
+    with_dispatch_hook
+      (fun _ -> incr dispatches)
+      (fun () ->
+        let body () =
+          for _ = 1 to 1000 do
+            Runtime.Exec.pause ()
+          done
+        in
+        let vts = Runtime.Sim.run ~policy [| body |] in
+        check Alcotest.int "clock charged for every pause"
+          (1000 * (Runtime.Costs.get ()).pause)
+          vts.(0);
+        !dispatches)
+  in
+  check Alcotest.int "earliest: one dispatch" 1
+    (count Runtime.Sim.Earliest_first);
+  check Alcotest.int "random: one per pause" 1001
+    (count (Runtime.Sim.random_policy 1));
+  check Alcotest.int "pct: one per pause" 1001
+    (count (Runtime.Sim.pct_policy 1))
+
+(* Parked fibers are unwound on an abnormal exit: every body's finaliser
+   runs after a [Timeout] and after a sibling raised, including a body
+   whose handler pauses (parks again) while unwinding. *)
+let test_sim_abnormal_exit_unwinds () =
+  let finalised = ref 0 in
+  let guarded body () =
+    Fun.protect ~finally:(fun () -> incr finalised) (fun () ->
+        try body ()
+        with e ->
+          Runtime.Exec.pause ();
+          raise e)
+  in
+  let spin _ () =
+    while true do
+      Runtime.Exec.tick 1000
+    done
+  in
+  (match Runtime.Sim.run ~cap_cycles:1_000_000 (Array.init 8 (fun tid -> guarded (spin tid))) with
+  | _ -> Alcotest.fail "expected Timeout"
+  | exception Runtime.Sim.Timeout _ -> ());
+  check Alcotest.int "finalisers after Timeout" 8 !finalised;
+  finalised := 0;
+  let body tid () =
+    for i = 1 to 100 do
+      Runtime.Exec.tick 10;
+      if tid = 3 && i = 50 then failwith "boom"
+    done
+  in
+  (match Runtime.Sim.run (Array.init 8 (fun tid -> guarded (body tid))) with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ());
+  check Alcotest.int "finalisers after a sibling raised" 8 !finalised;
+  Alcotest.(check bool) "exec state reset" false (Runtime.Exec.in_sim ());
+  check Alcotest.(array int) "usable afterwards" [| 5 |]
+    (Runtime.Sim.run [| (fun () -> Runtime.Exec.tick 5) |])
 
 (* --- Steal (PR 10) ------------------------------------------------------- *)
 
@@ -808,6 +975,14 @@ let suite =
         [
           Alcotest.test_case "heap matches scan under all policies" `Quick
             test_sim_heap_matches_scan;
+          Alcotest.test_case "at most 4 minor words per dispatch" `Quick
+            test_sim_dispatch_allocation;
+          Alcotest.test_case "earliest-first elides self-dispatch" `Quick
+            test_sim_self_dispatch_elided;
+          Alcotest.test_case "elision keeps the schedule" `Quick
+            test_sim_elision_keeps_schedule;
+          Alcotest.test_case "abnormal exit unwinds parked threads" `Quick
+            test_sim_abnormal_exit_unwinds;
         ] );
       ( "steal",
         [
